@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.hh"
+
 namespace terp {
 namespace bench {
 
@@ -34,43 +36,6 @@ gitRev()
 }
 
 namespace {
-
-/** Backslash-escape a string for embedding in a JSON literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /**
  * Fixed two-decimal rendering, locale-independent: printf("%.2f")

@@ -1,657 +1,114 @@
 #include "check/crash.hh"
 
-#include <algorithm>
-#include <map>
-#include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "check/fuzzer.hh"
-#include "check/recovery_oracle.hh"
-#include "check/schedule.hh"
-#include "common/rng.hh"
-#include "core/runtime.hh"
-#include "pm/pmo_manager.hh"
-#include "pm/tx_manager.hh"
-#include "sim/machine.hh"
-#include "trace/audit.hh"
+#include "check/recovery_engine.hh"
+#include "common/json.hh"
 
 namespace terp {
 namespace check {
 
 namespace {
 
-constexpr std::uint64_t logOff = 1ULL << 32;
-constexpr std::uint64_t pmoSize = 64 * KiB;
-
 /**
- * The world, ledger, transaction driver, and recovery invariants live
- * in check/recovery_oracle.{hh,cc}, shared with the energy-harvesting
- * harness. The enumeration below is their single-crash driver.
+ * Steps crash mode runs: @p txns transactions, after bank's init.
+ * The schedule workload's one step replays its whole op list, which
+ * --events sizes instead.
  */
-using World = CrashWorld;
-
-World
-makeWorld(const CrashOptions &opt, unsigned pmoCount, unsigned threads)
+unsigned
+crashSteps(const RecoveryWorkload &wl, unsigned txns)
 {
-    return World(schemeConfig(opt.scheme, opt.ewTarget).withTrace(),
-                 pmoCount, threads, pmoSize, logOff);
-}
-
-// ------------------------------------------------------- workloads
-
-/** Account i of the transfer ledger. */
-pm::Oid
-acct(unsigned i)
-{
-    return pm::Oid(1, 0x1000 + 64ULL * i);
-}
-
-/**
- * bank: 8 accounts initialized to 1000, then `txns` random
- * transfers. Each transaction also bumps a sequence word so no two
- * committed images are ever equal (keeps the atomicity oracle sharp
- * even for a transfer of an amount that round-trips).
- */
-void
-bankWorkload(World &w, Ledger &led, const CrashOptions &opt)
-{
-    sim::ThreadContext &tc = w.mach.thread(0);
-    const pm::Oid seq(1, 0x800);
-
-    std::vector<std::pair<pm::Oid, std::uint64_t>> init;
-    for (unsigned i = 0; i < 8; ++i)
-        init.push_back({acct(i), 1000});
-    init.push_back({seq, 1});
-    runTxn(w, led, tc, 1, init);
-
-    Rng rng(99 + opt.seed);
-    const pm::PersistController &ctl = w.dom.controller();
-    for (unsigned t = 0; t < opt.txns; ++t) {
-        unsigned a = static_cast<unsigned>(rng.nextBelow(8));
-        unsigned b = static_cast<unsigned>(rng.nextBelow(7));
-        if (b >= a)
-            ++b;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Two's-complement arithmetic keeps the sum invariant even
-        // through a (harmless) negative balance.
-        std::uint64_t newA = ctl.load(acct(a)) - amt;
-        std::uint64_t newB = ctl.load(acct(b)) + amt;
-        runTxn(w, led, tc, 1,
-               {{acct(a), newA}, {acct(b), newB}, {seq, t + 2}});
-    }
-}
-
-/** bank's global invariant, checked on the recovered durable image. */
-void
-checkBankInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.dom.controller();
-    std::uint64_t sum = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        sum += ctl.persistedLoad(acct(i));
-    // Before the init transaction commits, every account is 0.
-    if (sum != 0 && sum != 8 * 1000) {
+    if (wl.maxSteps == 1)
+        return 1;
+    const unsigned room = wl.maxSteps - wl.initSteps;
+    if (txns > room) {
         std::ostringstream os;
-        os << "bank: recovered balances sum to " << sum
-           << ", expected 8000 (or 0 pre-init)";
-        out.push_back(os.str());
+        os << "txns " << txns << " overflows the " << wl.name
+           << " workload's layout (at most " << room << ")";
+        throw std::invalid_argument(os.str());
     }
+    return txns + wl.initSteps;
 }
 
 /**
- * hashmap: WHISPER-style chained-bucket inserts. One insert writes
- * the record's key/value/next fields plus the bucket-head pointer in
- * a single transaction — the classic multi-line update that is
- * inconsistent (a half-linked record) if torn by a crash.
+ * "Arm boundary n, one power cycle": the run ends with its first
+ * power cycle, or after its last step when the plan never fires.
  */
-void
-hashmapWorkload(World &w, Ledger &led, const CrashOptions &opt)
+struct CrashPolicy : FaultPolicy
 {
-    sim::ThreadContext &tc = w.mach.thread(0);
-    constexpr std::uint64_t bucketsOff = 4096;
-    constexpr unsigned nBuckets = 16;
-    constexpr std::uint64_t heapOff = 8192;
+    unsigned steps;
+    bool crashed = false;
+    pm::PersistBoundary kind = pm::PersistBoundary::Store;
+    std::vector<std::string> found;
 
-    const pm::PersistController &ctl = w.dom.controller();
-    Rng rng(7 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
-        std::uint64_t key = 0x1000 + t;
-        std::uint64_t rec = heapOff + 64ULL * t;
-        pm::Oid head(1, bucketsOff +
-                            64ULL * (key % nBuckets));
-        std::uint64_t oldHead = ctl.load(head);
-        runTxn(w, led, tc, 1,
-               {{pm::Oid(1, rec), key},
-                {pm::Oid(1, rec + 8), rng.next() | 1},
-                {pm::Oid(1, rec + 16), oldHead},
-                {head, rec}});
-    }
-}
-
-/**
- * hashmap's structural invariant on the recovered durable image:
- * every bucket chain must be walkable, cycle-free, and end at records
- * whose key hashes to that bucket — a torn insert breaks one of
- * these.
- */
-void
-checkHashmapInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.dom.controller();
-    constexpr std::uint64_t bucketsOff = 4096;
-    constexpr unsigned nBuckets = 16;
-    for (unsigned b = 0; b < nBuckets; ++b) {
-        std::uint64_t rec =
-            ctl.persistedLoad(pm::Oid(1, bucketsOff + 64ULL * b));
-        unsigned steps = 0;
-        while (rec != 0) {
-            if (++steps > 4096) {
-                out.push_back("hashmap: bucket chain cycle");
-                return;
-            }
-            std::uint64_t key = ctl.persistedLoad(pm::Oid(1, rec));
-            std::uint64_t val =
-                ctl.persistedLoad(pm::Oid(1, rec + 8));
-            if (key % nBuckets != b || val == 0) {
-                std::ostringstream os;
-                os << "hashmap: torn record in bucket " << b
-                   << " (key 0x" << std::hex << key << ", val 0x"
-                   << val << ")";
-                out.push_back(os.str());
-                return;
-            }
-            rec = ctl.persistedLoad(pm::Oid(1, rec + 16));
-        }
-    }
-}
-
-/**
- * txnest: nested TxManager transactions transferring between two
- * accounts that live in *different* PMOs — one flattened transaction
- * under two ordered locks, with the anchor PMO's log recording the
- * cross-PMO write-set. The outer level debits, a nested level
- * credits and bumps the sequence word, and ~20% of transfers abort
- * at the inner level, poisoning the outer commit, which must then
- * leave no trace. Transactions alternate seeded between the undo and
- * redo variants, so crash points land in both protocols' commit
- * sequences (including the redo ambiguity window).
- */
-void
-txnestWorkload(World &w, Ledger &led, const CrashOptions &opt)
-{
-    sim::ThreadContext &tc = w.mach.thread(0);
-    pm::TxManager &txm = *w.rt->tx();
-    const pm::PersistController &ctl = w.dom.controller();
-    const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000), seq(1, 0x800);
-
-    Rng rng(41 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
-        bool init = t == 0;
-        bool redo = !init && rng.nextBelow(2) == 1;
-        bool doAbort = !init && rng.nextBelow(100) < 20;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Values are computed before begin: a redo transaction's
-        // in-place image is stale until its commit applies.
-        std::uint64_t newA =
-            init ? 1000 : ctl.load(acctA) - amt;
-        std::uint64_t newB =
-            init ? 1000 : ctl.load(acctB) + amt;
-        std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
-            {acctA, newA}, {acctB, newB}, {seq, t + 1}};
-
-        armFlight(led, 0, redo && !doAbort, writes);
-        protOpen(w, tc, 1);
-        protOpen(w, tc, 2);
-        txm.begin(tc, 0, {1, 2},
-                  redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.rt->access(tc, acctA, /*write=*/true);
-        txm.write(tc, 0, acctA, newA);
-        txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.rt->access(tc, acctB, /*write=*/true);
-        txm.write(tc, 0, acctB, newB);
-        txm.write(tc, 0, seq, t + 1);
-        if (doAbort)
-            txm.abort(tc, 0);
-        txm.commit(tc, 0); // inner: unwind only
-        bool ok = txm.commit(tc, 0); // outermost: the durable point
-        protClose(w, tc, 2);
-        protClose(w, tc, 1);
-        settleFlight(led, 0, ok);
-        w.advanceSweeps(tc.now());
-    }
-}
-
-/** txnest's invariant: the cross-PMO balance sum is conserved. */
-void
-checkTxnestInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.dom.controller();
-    std::uint64_t sum = ctl.persistedLoad(pm::Oid(1, 0x1000)) +
-                        ctl.persistedLoad(pm::Oid(2, 0x1000));
-    // Before the init transaction commits, both accounts are 0.
-    if (sum != 0 && sum != 2000) {
-        std::ostringstream os;
-        os << "txnest: recovered cross-PMO balances sum to " << sum
-           << ", expected 2000 (or 0 pre-init)";
-        out.push_back(os.str());
-    }
-}
-
-/**
- * txpair: two threads running transactions over disjoint PMOs —
- * thread 0 locks PMO 1, thread 1 locks PMO 2 — with their writes
- * interleaved boundary-by-boundary and their commits staggered, so
- * enumeration crashes between one thread's durable point and the
- * other's. Each transaction writes a split pair (x, 2000 - x) plus
- * a sequence word; recovery must treat the two transactions
- * independently (each all-or-nothing on its own).
- */
-void
-txpairWorkload(World &w, Ledger &led, const CrashOptions &opt)
-{
-    sim::ThreadContext &tc0 = w.mach.thread(0);
-    sim::ThreadContext &tc1 = w.mach.thread(1);
-    pm::TxManager &txm = *w.rt->tx();
-    const pm::PersistController &ctl = w.dom.controller();
-    auto xOf = [](pm::PmoId p) { return pm::Oid(p, 0x1000); };
-    auto yOf = [](pm::PmoId p) { return pm::Oid(p, 0x1040); };
-    auto seqOf = [](pm::PmoId p) { return pm::Oid(p, 0x800); };
-
-    Rng rng(17 + opt.seed);
-    for (unsigned t = 0; t < opt.txns; ++t) {
-        bool init = t == 0;
-        bool redo0 = !init && rng.nextBelow(2) == 1;
-        bool redo1 = !init && rng.nextBelow(2) == 1;
-        bool abort0 = !init && rng.nextBelow(100) < 15;
-        bool abort1 = !init && rng.nextBelow(100) < 15;
-        std::uint64_t d0 = 1 + rng.nextBelow(500);
-        std::uint64_t d1 = 1 + rng.nextBelow(500);
-        std::uint64_t x0 = init ? 1000 : ctl.load(xOf(1)) + d0;
-        std::uint64_t x1 = init ? 1000 : ctl.load(xOf(2)) + d1;
-        std::vector<std::pair<pm::Oid, std::uint64_t>> w0 = {
-            {xOf(1), x0}, {yOf(1), 2000 - x0}, {seqOf(1), t + 1}};
-        std::vector<std::pair<pm::Oid, std::uint64_t>> w1 = {
-            {xOf(2), x1}, {yOf(2), 2000 - x1}, {seqOf(2), t + 1}};
-
-        armFlight(led, 0, redo0 && !abort0, w0);
-        armFlight(led, 1, redo1 && !abort1, w1);
-        protOpen(w, tc0, 1);
-        protOpen(w, tc1, 2);
-        txm.begin(tc0, 0, {1},
-                  redo0 ? pm::TxKind::Redo : pm::TxKind::Undo);
-        txm.begin(tc1, 1, {2},
-                  redo1 ? pm::TxKind::Redo : pm::TxKind::Undo);
-        // Interleave the two write-sets boundary-by-boundary.
-        for (unsigned j = 0; j < 3; ++j) {
-            w.rt->access(tc0, w0[j].first, /*write=*/true);
-            txm.write(tc0, 0, w0[j].first, w0[j].second);
-            w.rt->access(tc1, w1[j].first, /*write=*/true);
-            txm.write(tc1, 1, w1[j].first, w1[j].second);
-        }
-        if (abort0)
-            txm.abort(tc0, 0);
-        if (abort1)
-            txm.abort(tc1, 1);
-        // Staggered durable points: thread 0 settles first, so a
-        // crash inside thread 1's commit sees thread 0 committed.
-        bool ok0 = txm.commit(tc0, 0);
-        settleFlight(led, 0, ok0);
-        bool ok1 = txm.commit(tc1, 1);
-        settleFlight(led, 1, ok1);
-        protClose(w, tc0, 1);
-        protClose(w, tc1, 2);
-        w.advanceSweeps(std::max(tc0.now(), tc1.now()));
-    }
-}
-
-/** txpair's invariant: each PMO's split pair is conserved. */
-void
-checkTxpairInvariant(World &w, std::vector<std::string> &out)
-{
-    const pm::PersistController &ctl = w.dom.controller();
-    for (pm::PmoId p = 1; p <= 2; ++p) {
-        std::uint64_t sum =
-            ctl.persistedLoad(pm::Oid(p, 0x1000)) +
-            ctl.persistedLoad(pm::Oid(p, 0x1040));
-        if (sum != 0 && sum != 2000) {
-            std::ostringstream os;
-            os << "txpair: recovered pair on PMO " << p
-               << " sums to " << sum
-               << ", expected 2000 (or 0 pre-init)";
-            out.push_back(os.str());
-        }
-    }
-}
-
-/**
- * schedule: replay a generated fuzz schedule (persistOps on) with a
- * deliberately conservative skip policy — the goal is reaching crash
- * points from many protection states, not differential precision
- * (that is the differ's job). All bookends are explicit; RAII guards
- * are banned on this path.
- */
-struct ScheduleReplay
-{
-    World &w;
-    Ledger &led;
-    const Schedule &s;
-    //! region nesting we opened, per [tid][pmo]
-    std::vector<std::vector<unsigned>> depth;
-    std::vector<bool> manualActive; //!< per pmo (1-based)
-    /**
-     * Earliest time an End may close each PMO: a lagging thread's
-     * close below the latest window (re)open would rewind the
-     * exposure tracker. Sweeper hooks may reopen at the hook time,
-     * so every fired hook raises the floor for all PMOs.
-     */
-    std::vector<Cycles> endFloor;
-
-    ScheduleReplay(World &world, Ledger &ledger, const Schedule &sched)
-        : w(world), led(ledger), s(sched),
-          depth(sched.threads,
-                std::vector<unsigned>(sched.pmos + 1, 0)),
-          manualActive(sched.pmos + 1, false),
-          endFloor(sched.pmos + 1, 0)
-    {
-    }
-
-    void
-    raiseFloors(Cycles t)
-    {
-        for (Cycles &f : endFloor)
-            f = std::max(f, t);
-    }
-
-    void
-    sweeps(Cycles t)
-    {
-        Cycles before = w.nextHook;
-        w.advanceSweeps(t);
-        if (w.nextHook != before)
-            raiseFloors(w.nextHook - w.hookPeriod);
-    }
+    explicit CrashPolicy(unsigned n) : steps(n) { auditEvery = 1; }
 
     bool
-    tryBegin(sim::ThreadContext &tc, unsigned tid, pm::PmoId pmo,
-             pm::Mode mode)
+    more(const RecoveryRun &r) const override
     {
-        if (w.cfg.basicBlocking && depth[tid][pmo] > 0)
-            return false; // nested basic attach is invalid
-        if (w.rt->regionBegin(tc, pmo, mode) ==
-            core::GuardResult::Blocked)
-            return false;
-        ++depth[tid][pmo];
-        endFloor[pmo] = std::max(endFloor[pmo], tc.now());
-        return true;
+        return r.powerCycles == 0 && r.steps < steps;
     }
 
     void
-    tryEnd(sim::ThreadContext &tc, unsigned tid, pm::PmoId pmo)
+    interrupted(RecoveryRun &, const pm::PowerFailure &pf) override
     {
-        if (depth[tid][pmo] == 0 || tc.now() < endFloor[pmo])
-            return;
-        w.rt->regionEnd(tc, pmo);
-        --depth[tid][pmo];
+        crashed = true;
+        kind = pf.kind;
     }
 
     void
-    run()
+    report(RecoveryRun &, std::vector<std::string> &v) override
     {
-        for (const Op &op : s.ops) {
-            if (op.kind == OpKind::Sweep) {
-                w.rt->onSweep(w.nextHook);
-                raiseFloors(w.nextHook);
-                w.nextHook += w.hookPeriod;
-                continue;
-            }
-            sim::ThreadContext &tc = w.mach.thread(op.tid);
-            sweeps(tc.now());
-            if (tc.blocked())
-                continue;
-            step(op, tc);
-        }
-    }
-
-    void
-    step(const Op &op, sim::ThreadContext &tc)
-    {
-        switch (op.kind) {
-          case OpKind::Work:
-            tc.work(op.work);
-            break;
-
-          case OpKind::Begin:
-            if (w.cfg.insertion == core::Insertion::Auto)
-                tryBegin(tc, op.tid, op.pmo, op.mode);
-            break;
-
-          case OpKind::End:
-            if (w.cfg.insertion == core::Insertion::Auto)
-                tryEnd(tc, op.tid, op.pmo);
-            break;
-
-          case OpKind::ManualBegin:
-            if (w.cfg.insertion == core::Insertion::Manual &&
-                !manualActive[op.pmo]) {
-                w.rt->manualBegin(tc, op.pmo, op.mode);
-                manualActive[op.pmo] = true;
-                endFloor[op.pmo] =
-                    std::max(endFloor[op.pmo], tc.now());
-            }
-            break;
-
-          case OpKind::ManualEnd:
-            if (w.cfg.insertion == core::Insertion::Manual &&
-                manualActive[op.pmo] &&
-                tc.now() >= endFloor[op.pmo]) {
-                w.rt->manualEnd(tc, op.pmo);
-                manualActive[op.pmo] = false;
-            }
-            break;
-
-          case OpKind::Access:
-            (void)w.rt->tryAccess(tc, pm::Oid(op.pmo, op.offset),
-                                  op.write);
-            break;
-
-          case OpKind::Range:
-            for (std::uint64_t off = op.offset;
-                 off < op.offset + op.bytes; off += lineSize) {
-                (void)w.rt->tryAccess(tc, pm::Oid(op.pmo, off),
-                                      op.write);
-            }
-            break;
-
-          case OpKind::Guarded: {
-            if (w.cfg.insertion != core::Insertion::Auto)
-                break;
-            if (!tryBegin(tc, op.tid, op.pmo, op.mode))
-                break;
-            for (unsigned j = 0; j < op.accesses; ++j)
-                (void)w.rt->tryAccess(
-                    tc, pm::Oid(op.pmo, op.offset + j * lineSize),
-                    op.write);
-            tryEnd(tc, op.tid, op.pmo);
-            break;
-          }
-
-          case OpKind::TxPut: {
-            std::vector<std::pair<pm::Oid, std::uint64_t>> writes;
-            for (unsigned j = 0; j < op.accesses; ++j)
-                writes.push_back(
-                    {pm::Oid(op.pmo, op.offset + j * op.bytes),
-                     (static_cast<std::uint64_t>(led.done) << 8) |
-                         j});
-            // Bookend with the region we can, but never touch the
-            // data through the protection path: the protection state
-            // at an arbitrary schedule point is not ours to assume.
-            bool opened =
-                w.cfg.insertion == core::Insertion::Auto
-                    ? tryBegin(tc, op.tid, op.pmo,
-                               pm::Mode::ReadWrite)
-                    : false;
-            if (w.cfg.basicBlocking &&
-                w.cfg.insertion == core::Insertion::Auto &&
-                !opened && tc.blocked())
-                break; // begin blocked: the txn never starts
-            pm::UndoLog *log = w.dom.findLog(op.pmo);
-            led.inFlight.clear();
-            for (const auto &[oid, v] : writes) {
-                (void)v;
-                led.inFlight.push_back(oid.raw);
-            }
-            log->begin(tc);
-            for (const auto &[oid, v] : writes)
-                log->write(tc, oid, v);
-            log->commit(tc);
-            for (const auto &[oid, v] : writes)
-                led.image[oid.raw] = v;
-            led.inFlight.clear();
-            ++led.done;
-            if (opened)
-                tryEnd(tc, op.tid, op.pmo);
-            break;
-          }
-
-          case OpKind::CrashRecover: {
-            sweeps(w.mach.maxClock());
-            Cycles at = w.mach.maxClock();
-            for (unsigned i = 0; i < w.mach.threadCount(); ++i) {
-                sim::ThreadContext &t = w.mach.thread(i);
-                if (!t.done && !t.blocked() && t.now() < at)
-                    t.syncTo(at, sim::Charge::Other);
-            }
-            w.rt->crash(at);
-            (void)w.rt->recover(tc);
-            for (auto &d : depth)
-                std::fill(d.begin(), d.end(), 0u);
-            std::fill(manualActive.begin(), manualActive.end(),
-                      false);
-            raiseFloors(at);
-            break;
-          }
-
-          case OpKind::Sweep:
-            break; // handled in run()
-
-          case OpKind::TxBegin:
-          case OpKind::TxWrite:
-          case OpKind::TxCommit:
-          case OpKind::TxAbort:
-            // The schedule workload generates with txnOps off (its
-            // transactions are the self-contained TxPut above, which
-            // the crash ledger can account); manager ops only appear
-            // in differ-driven schedules.
-            break;
-        }
+        found.insert(found.end(), v.begin(), v.end());
     }
 };
 
-void
-scheduleWorkload(World &w, Ledger &led, const Schedule &s)
-{
-    ScheduleReplay r(w, led, s);
-    r.run();
-}
-
-void
-runWorkload(World &w, Ledger &led, const CrashOptions &opt,
-            const Schedule *sched)
-{
-    if (opt.workload == "bank")
-        bankWorkload(w, led, opt);
-    else if (opt.workload == "hashmap")
-        hashmapWorkload(w, led, opt);
-    else if (opt.workload == "txnest")
-        txnestWorkload(w, led, opt);
-    else if (opt.workload == "txpair")
-        txpairWorkload(w, led, opt);
-    else
-        scheduleWorkload(w, led, *sched);
-}
-
-void
-checkWorkloadInvariant(World &w, const CrashOptions &opt,
-                       std::vector<std::string> &out)
-{
-    if (opt.workload == "bank")
-        checkBankInvariant(w, out);
-    else if (opt.workload == "hashmap")
-        checkHashmapInvariant(w, out);
-    else if (opt.workload == "txnest")
-        checkTxnestInvariant(w, out);
-    else if (opt.workload == "txpair")
-        checkTxpairInvariant(w, out);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
+
+void
+validateCrashOptions(const CrashOptions &opt)
+{
+    (void)schemeConfig(opt.scheme, opt.ewTarget);
+    (void)crashSteps(findRecoveryWorkload(opt.workload), opt.txns);
+}
 
 CrashResult
 enumerateCrashPoints(const CrashOptions &opt)
 {
-    if (opt.workload != "bank" && opt.workload != "hashmap" &&
-        opt.workload != "txnest" && opt.workload != "txpair" &&
-        opt.workload != "schedule")
-        throw std::invalid_argument("unknown workload: " +
-                                    opt.workload);
-
-    CrashResult res;
+    const RecoveryWorkload &wl = findRecoveryWorkload(opt.workload);
+    const unsigned steps = crashSteps(wl, opt.txns);
+    const core::RuntimeConfig cfg = schemeConfig(opt.scheme, opt.ewTarget);
     Schedule sched;
-    unsigned pmoCount = 1, threads = 1;
-    if (opt.workload == "txnest") {
-        pmoCount = 2;
-    } else if (opt.workload == "txpair") {
-        pmoCount = 2;
-        threads = 2;
-    }
-    if (opt.workload == "schedule") {
+    if (wl.pmos == 0) {
         GenParams gp;
         gp.persistOps = true;
         gp.events = opt.events;
         gp.ewTarget = opt.ewTarget;
-        gp.pmoSize = pmoSize;
-        sched =
-            generate(opt.seed, schemeConfig(opt.scheme, opt.ewTarget),
-                     gp);
-        pmoCount = sched.pmos;
-        threads = sched.threads;
+        sched = generate(opt.seed, cfg, gp);
     }
+    auto makeRun = [&] {
+        return RecoveryRun(wl, cfg.withTrace(), wl.salt + opt.seed,
+                           sched);
+    };
 
     // Baseline: no fault. Counts the boundaries and sanity-checks
     // the oracle machinery against an uninterrupted run.
+    CrashResult res;
     {
-        World w = makeWorld(opt, pmoCount, threads);
-        Ledger led;
-        std::vector<std::string> v;
+        RecoveryRun r = makeRun();
+        CrashPolicy p(steps);
         try {
-            runWorkload(w, led, opt, &sched);
-            res.boundaries = w.dom.controller().boundaryCount();
-            checkDurable(w, led, v);
-            checkWorkloadInvariant(w, opt, v);
+            runRecovery(r, p);
+            res.boundaries = r.w.dom.controller().boundaryCount();
+            checkDurable(r.w, r.led, p.found);
+            wl.invariant(r.w, p.found);
         } catch (const std::exception &e) {
-            v.push_back(std::string("baseline run died: ") +
-                        e.what());
+            p.found.push_back(std::string("baseline run died: ") +
+                              e.what());
         }
-        for (const std::string &m : v)
+        for (const std::string &m : p.found)
             res.violations.push_back(
                 {0, pm::PersistBoundary::Store, m});
         if (!res.violations.empty() || res.boundaries == 0)
@@ -659,50 +116,25 @@ enumerateCrashPoints(const CrashOptions &opt)
     }
 
     for (std::uint64_t n = 1; n <= res.boundaries; ++n) {
-        World w = makeWorld(opt, pmoCount, threads);
-        Ledger led;
-        std::vector<std::string> v;
-        bool crashed = false;
-        pm::PersistBoundary kind = pm::PersistBoundary::Store;
-
-        w.dom.controller().armFault(n);
+        RecoveryRun r = makeRun();
+        r.w.dom.controller().armFault(n);
+        CrashPolicy p(steps);
         try {
-            runWorkload(w, led, opt, &sched);
-        } catch (const pm::PowerFailure &pf) {
-            crashed = true;
-            kind = pf.kind;
+            runRecovery(r, p);
         } catch (const std::exception &e) {
-            v.push_back(std::string("workload died: ") + e.what());
+            p.found.push_back(std::string(p.crashed ? "recovery died: "
+                                                    : "workload died: ") +
+                              e.what());
         }
         ++res.pointsRun;
-
-        if (v.empty() && !crashed) {
-            // A scheduled CrashRecover op can disarm nothing — the
-            // plan stays armed across it — so reaching the end means
-            // the boundary count regressed between runs.
-            v.push_back("armed fault never fired (non-deterministic "
-                        "boundary count?)");
-        }
-
-        if (v.empty()) {
-            try {
-                Cycles at = w.mach.maxClock();
-                w.rt->crash(at);
-                // Recovery runs after the failure instant.
-                sim::ThreadContext &rtc = w.mach.thread(0);
-                if (rtc.now() < at)
-                    rtc.syncTo(at, sim::Charge::Other);
-                (void)w.rt->recover(rtc);
-                checkDurable(w, led, v);
-                checkWorkloadInvariant(w, opt, v);
-                probeAndDrain(w, led, v);
-            } catch (const std::exception &e) {
-                v.push_back(std::string("recovery died: ") +
-                            e.what());
-            }
-        }
-        for (const std::string &m : v)
-            res.violations.push_back({n, kind, m});
+        // A scheduled CrashRecover op can disarm nothing — the plan
+        // stays armed across it — so reaching the end means the
+        // boundary count regressed between runs.
+        if (!p.crashed && p.found.empty())
+            p.found.push_back("armed fault never fired "
+                              "(non-deterministic boundary count?)");
+        for (const std::string &m : p.found)
+            res.violations.push_back({n, p.kind, m});
     }
     return res;
 }
@@ -711,11 +143,11 @@ std::string
 crashResultJson(const CrashOptions &opt, const CrashResult &r)
 {
     std::ostringstream os;
-    os << "{\"scheme\":\"" << opt.scheme << "\",\"workload\":\""
-       << opt.workload << "\",\"seed\":" << opt.seed
-       << ",\"boundaries\":" << r.boundaries
-       << ",\"points_run\":" << r.pointsRun << ",\"ok\":"
-       << (r.ok() ? "true" : "false");
+    os << "{\"scheme\":\"" << jsonEscape(opt.scheme)
+       << "\",\"workload\":\"" << jsonEscape(opt.workload)
+       << "\",\"seed\":" << opt.seed << ",\"boundaries\":"
+       << r.boundaries << ",\"points_run\":" << r.pointsRun
+       << ",\"ok\":" << (r.ok() ? "true" : "false");
     if (!r.violations.empty())
         os << ",\"earliest_violation\":" << r.violations.front().point;
     os << ",\"violations\":[";

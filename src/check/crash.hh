@@ -8,9 +8,10 @@
  * (B = every store / clwb / sfence / log-header update). The driver
  * then re-runs the workload B times, arming the controller's fault
  * plan to crash before boundary n for every n in 1..B — covering
- * every distinguishable crash window exactly once — and after each
- * modeled power failure performs Runtime::crash + Runtime::recover
- * and asserts the recovery oracle:
+ * every distinguishable crash window exactly once. Each re-run is
+ * one power cycle of the check/recovery_engine driver, which after
+ * the modeled failure performs Runtime::crash + Runtime::recover and
+ * asserts the recovery oracle:
  *
  *   - atomicity: the durable image equals the image after exactly
  *     the transactions whose commit completed (each transaction is
@@ -41,10 +42,11 @@ struct CrashOptions
 {
     std::string scheme = "mm"; //!< mm | tm | tt | ttnc | basic
     /**
+     * A check/recovery_engine workload:
      * bank:     single-PMO transfer ledger with a sum invariant;
      * hashmap:  WHISPER-style chained-bucket inserts (record fields
      *           plus the bucket-head pointer in one transaction);
-     * txnest:   nested TxManager transactions transferring across
+     * txmix:    nested TxManager transactions transferring across
      *           two PMOs under one flattened lock set, mixed
      *           undo/redo kinds, ~20% inner aborts;
      * txpair:   two threads, disjoint-PMO transactions with
@@ -54,7 +56,7 @@ struct CrashOptions
      */
     std::string workload = "bank";
     std::uint64_t seed = 0; //!< schedule seed / transfer rng seed
-    unsigned txns = 12;     //!< bank transfers / hashmap inserts
+    unsigned txns = 12;     //!< transactions (bank: after its init)
     unsigned events = 40;   //!< schedule workload length
     Cycles ewTarget = 5 * cyclesPerUs;
 };
@@ -74,6 +76,12 @@ struct CrashResult
 
     bool ok() const { return violations.empty(); }
 };
+
+/**
+ * Throw std::invalid_argument for an unknown scheme or workload, or
+ * a txns count past the workload's layout bound.
+ */
+void validateCrashOptions(const CrashOptions &opt);
 
 /** Crash at every persist boundary of the workload and validate. */
 CrashResult enumerateCrashPoints(const CrashOptions &opt);

@@ -41,41 +41,20 @@ CrashWorld::advanceSweeps(Cycles t)
 void
 runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
        pm::PmoId pmo,
-       const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes,
-       bool touchData)
+       const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes)
 {
-    led.inFlight.clear();
-    for (const auto &[oid, v] : writes) {
-        (void)v;
-        led.inFlight.push_back(oid.raw);
-    }
-
-    bool manual = w.cfg.insertion == core::Insertion::Manual;
-    bool autoIns = w.cfg.insertion == core::Insertion::Auto;
-    if (manual)
-        w.rt->manualBegin(tc, pmo, pm::Mode::ReadWrite);
-    else if (autoIns)
-        w.rt->regionBegin(tc, pmo, pm::Mode::ReadWrite);
-
+    armFlight(led, tc.tid(), /*ambiguous=*/false, writes);
+    protOpen(w, tc, pmo);
     pm::UndoLog *log = w.dom.findLog(pmo);
     log->begin(tc);
     for (const auto &[oid, v] : writes) {
-        if (touchData)
-            w.rt->access(tc, oid, /*write=*/true);
+        w.rt->access(tc, oid, /*write=*/true);
         log->write(tc, oid, v);
     }
     log->commit(tc);
-
-    if (manual)
-        w.rt->manualEnd(tc, pmo);
-    else if (autoIns)
-        w.rt->regionEnd(tc, pmo);
-
+    protClose(w, tc, pmo);
     // Only reached when the commit became durable.
-    for (const auto &[oid, v] : writes)
-        led.image[oid.raw] = v;
-    led.inFlight.clear();
-    ++led.done;
+    settleFlight(led, tc.tid(), true);
     w.advanceSweeps(tc.now());
 }
 
@@ -84,10 +63,10 @@ checkDurable(CrashWorld &w, const Ledger &led,
              std::vector<std::string> &out)
 {
     const pm::PersistController &ctl = w.dom.controller();
-    // Keys of open TxManager transactions are judged by the flight
-    // rule below (which still pins them to the committed value for
-    // an undo transaction, but admits all-new for a redo one whose
-    // commit was in flight), not by the strict committed-image scan.
+    // Keys of open transactions are judged by the flight rule below
+    // (which still pins them to the committed value for an undo
+    // transaction, but admits all-new for a redo one whose commit
+    // was in flight), not by the strict committed-image scan.
     std::set<std::uint64_t> flightKeys;
     for (const auto &[tid, fl] : led.flight) {
         (void)tid;
@@ -108,19 +87,7 @@ checkDurable(CrashWorld &w, const Ledger &led,
             out.push_back(os.str());
         }
     }
-    for (std::uint64_t raw : led.inFlight) {
-        if (led.image.count(raw))
-            continue; // checked against the committed value above
-        std::uint64_t got = ctl.persistedLoad(pm::Oid::fromRaw(raw));
-        if (got != 0) {
-            std::ostringstream os;
-            os << "atomicity: in-flight write at offset 0x"
-               << std::hex << pm::Oid::fromRaw(raw).offset()
-               << " leaked into the durable image (0x" << got << ")";
-            out.push_back(os.str());
-        }
-    }
-    // TxManager transactions open at the crash: all-or-nothing. Undo
+    // Transactions open at the crash: all-or-nothing. Undo
     // must recover to all-old; a redo whose commit was in progress
     // may land on either side of its durable point, but never mixed.
     for (const auto &[tid, fl] : led.flight) {
@@ -165,6 +132,8 @@ settleFlight(Ledger &led, unsigned tid, bool committed)
         for (const auto &[raw, v] : led.flight.at(tid).newv)
             led.image[raw] = v;
         ++led.done;
+    } else {
+        ++led.aborted;
     }
     led.flight.erase(tid);
 }
@@ -231,39 +200,43 @@ checkLogsRetired(CrashWorld &w, std::vector<std::string> &out)
 }
 
 void
-probeAndDrain(CrashWorld &w, Ledger &led,
-              std::vector<std::string> &out)
+resolveFlights(CrashWorld &w, Ledger &led)
 {
-    checkLogsRetired(w, out);
-
-    // This runs before the probe transaction — recovery's mapping is
-    // idle, not a span the application may nest inside.
-    drainIdleWindows(w, "recovery", out);
-
-    // Liveness: the recovered image must accept a new transaction.
-    // Sync the probe thread past the fired hooks first so its window
-    // opens after any the sweeper just closed.
-    sim::ThreadContext &tc = w.mach.thread(0);
-    Cycles drained = w.nextHook - w.hookPeriod;
-    if (tc.now() < drained)
-        tc.syncTo(drained, sim::Charge::Other);
-    runTxn(w, led, tc, 1,
-           {{pm::Oid(1, w.pmoBytes - 8), 0x900d900dULL}});
-    checkDurable(w, led, out);
-
-    // The probe's own window must drain the same way.
-    drainIdleWindows(w, "the probe transaction", out);
-
-    Cycles tEnd = w.mach.maxClock();
-    w.rt->finalize();
-    if (auto sink = w.rt->traceSink()) {
-        trace::AuditReport rep =
-            trace::auditTimeline(*sink, tEnd, w.rt->exposure());
-        for (const std::string &m : rep.mismatches)
-            out.push_back("trace audit: " + m);
-        if (!rep.ok && rep.mismatches.empty())
-            out.push_back("trace audit failed without detail");
+    const pm::PersistController &ctl = w.dom.controller();
+    for (const auto &[tid, fl] : led.flight) {
+        (void)tid;
+        bool allNew = fl.ambiguous && !fl.keys.empty();
+        for (std::uint64_t raw : fl.keys) {
+            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
+                fl.newv.at(raw))
+                allNew = false;
+        }
+        if (allNew) {
+            for (const auto &[raw, v] : fl.newv)
+                led.image[raw] = v;
+            ++led.done;
+        }
     }
+    led.flight.clear();
+}
+
+void
+auditTrace(CrashWorld &w, std::vector<std::string> &out)
+{
+    auto sink = w.rt->traceSink();
+    if (!sink)
+        return;
+    if (!sink->complete()) {
+        out.push_back("trace ring wrapped before the audit; raise "
+                      "traceCapacity or auditEvery");
+        return;
+    }
+    trace::AuditReport rep = trace::auditTimeline(
+        *sink, w.mach.maxClock(), w.rt->exposure());
+    for (const std::string &m : rep.mismatches)
+        out.push_back("trace audit: " + m);
+    if (!rep.ok && rep.mismatches.empty())
+        out.push_back("trace audit failed without detail");
 }
 
 } // namespace check

@@ -1,21 +1,18 @@
 /**
  * @file
- * The reusable half of the crash-point machinery: a simulated
- * process (machine + runtime + persistence domain), the committed-
- * image ledger, and the recovery invariants —
+ * The recovery oracle's building blocks: a simulated process
+ * (machine + runtime + persistence domain), the committed-image
+ * ledger, and the recovery invariants —
  *
  *   - atomicity: the durable image equals the image after exactly
  *     the transactions whose commit completed;
  *   - liveness: a probe transaction commits durably after recovery;
  *   - exposure hygiene: recovery attaches are closed by the scheme's
- *     normal idle path within the window target and no PMO stays
- *     mapped.
+ *     normal idle path within the window target, no PMO stays
+ *     mapped, and the trace audit balances.
  *
- * Historically these lived inside check/crash.cc's anonymous
- * namespace and were exercised once per World (single modeled crash
- * per run). The energy-harvesting harness (src/energy) re-runs them
- * at *every* cycle of a thousands-of-power-cycles run, so they are
- * hoisted here, unchanged in behaviour, for both drivers to share.
+ * check/recovery_engine composes them into the one post-recovery
+ * sequence both the crash enumerator and the harvest harness run.
  */
 
 #ifndef TERP_CHECK_RECOVERY_ORACLE_HH
@@ -80,7 +77,7 @@ struct CrashWorld
 };
 
 /**
- * One open TxManager transaction's expected post-recovery outcome.
+ * One open transaction's expected post-recovery outcome.
  *
  * Undo transactions must recover to all-old at every crash point:
  * recovery rolls the logged old values back. Redo transactions are
@@ -110,21 +107,21 @@ struct TxFlight
 struct Ledger
 {
     std::map<std::uint64_t, std::uint64_t> image; //!< raw Oid -> val
-    std::vector<std::uint64_t> inFlight;          //!< current txn keys
-    std::map<unsigned, TxFlight> flight;          //!< per-tid TxManager txn
+    std::map<unsigned, TxFlight> flight;          //!< per-tid open txn
     unsigned done = 0;                            //!< commits returned
+    unsigned aborted = 0;                         //!< aborts returned
 };
 
 /**
- * One transaction: scheme-appropriate protection bookends around
- * begin / write* / commit. Explicit bookends only — a PowerFailure
- * unwinding through a RegionGuard destructor would lower a region
- * end on a dead machine.
+ * One undo-log transaction, registered as @p tc's flight:
+ * scheme-appropriate protection bookends around begin / write* /
+ * commit. Explicit bookends only — a PowerFailure unwinding through
+ * a RegionGuard destructor would lower a region end on a dead
+ * machine.
  */
 void runTxn(CrashWorld &w, Ledger &led, sim::ThreadContext &tc,
             pm::PmoId pmo,
-            const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes,
-            bool touchData = true);
+            const std::vector<std::pair<pm::Oid, std::uint64_t>> &writes);
 
 /**
  * The atomicity oracle: every committed transaction's effects are
@@ -160,14 +157,17 @@ void drainIdleWindows(CrashWorld &w, const char *when,
 void checkLogsRetired(CrashWorld &w, std::vector<std::string> &out);
 
 /**
- * Post-recovery liveness + exposure-hygiene checks: drain, run a
- * probe transaction against PMO 1, re-check atomicity, drain again,
- * finalize and audit the trace. Single-crash drivers call this once
- * at the end of a run; multi-cycle drivers compose the pieces above
- * instead (finalize/audit only once per world).
+ * Settle the flights a crash left open: the durable image says which
+ * side of the durable point each transaction landed on (run
+ * checkDurable() first — it rejects a torn one).
  */
-void probeAndDrain(CrashWorld &w, Ledger &led,
-                   std::vector<std::string> &out);
+void resolveFlights(CrashWorld &w, Ledger &led);
+
+/**
+ * Audit the full trace timeline against the exposure tracker. A ring
+ * that lost events to wrap cannot be audited and says so.
+ */
+void auditTrace(CrashWorld &w, std::vector<std::string> &out);
 
 } // namespace check
 } // namespace terp

@@ -2,79 +2,73 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "check/fuzzer.hh"
-#include "check/recovery_oracle.hh"
-#include "common/logging.hh"
-#include "common/rng.hh"
-#include "metrics/registry.hh"
-#include "pm/tx_manager.hh"
-#include "trace/audit.hh"
+#include "check/recovery_engine.hh"
 
 namespace terp {
 namespace energy {
 
 namespace {
 
-constexpr std::uint64_t logOff = 1ULL << 32;
-constexpr std::uint64_t pmoBytes = 64 * KiB;
-
-/** Account i of the bank workload's transfer ledger. */
-pm::Oid
-acct(unsigned i)
+/** @p name, if its layout lets it step for a whole harvest. */
+const check::RecoveryWorkload &
+harvestWorkload(const std::string &name)
 {
-    return pm::Oid(1, 0x1000 + 64ULL * i);
+    const check::RecoveryWorkload &wl = check::findRecoveryWorkload(name);
+    if (wl.maxSteps != check::unboundedSteps)
+        throw std::invalid_argument(
+            "harvest: workload " + name + " stops after " +
+            std::to_string(wl.maxSteps) + " step(s); a harvest runs "
+            "until its power cycles are done");
+    return wl;
 }
 
 /**
- * One harvest run. Owns the world, the capacitor, and the oracle
- * ledger for the whole multi-cycle lifetime — unlike the crash-point
- * enumerator, nothing here is rebuilt between crashes, which is the
- * point: state that survives a crash()/recover() pair incorrectly
- * compounds instead of hiding behind a fresh world.
+ * "Capacitor runway, checkpoint watermark, sweep gate, dark recharge,
+ * N cycles": the fault policy of one harvest run. It owns the world,
+ * the capacitor and the oracle ledger for the whole multi-cycle
+ * lifetime — unlike the crash-point enumerator, nothing here is
+ * rebuilt between crashes, which is the point: state that survives a
+ * crash()/recover() pair incorrectly compounds instead of hiding
+ * behind a fresh world.
  */
-struct Harness
+struct Harness : check::FaultPolicy
 {
     const HarvestOptions &opt;
     HarvestResult res;
-    check::CrashWorld w;
+    check::RecoveryRun run;
     Capacitor cap;
-    check::Ledger led;
-    Rng rng;
-    bool txmix;
 
     /** Machine time already charged to the capacitor. */
     Cycles energyClock = 0;
-    /** Last completed transaction's cost, for race-to-expiry arming. */
+    /** Last completed step's cost, for race-to-expiry arming. */
     Cycles estCycles = 0;
     std::uint64_t estBoundaries = 0;
 
-    bool inited = false;
-    std::uint64_t attempts = 0; //!< txn attempts; the scratch value
+    // The step in flight.
+    bool armed = false;
+    Cycles c0 = 0;
+    std::uint64_t b0 = 0;
+    unsigned done0 = 0, aborted0 = 0;
+
+    std::uint64_t attempts = 0; //!< step attempts; the scratch value
     std::uint64_t lastDurableScratch = 0;
     bool scratchPending = false;
     const pm::Oid scratchOid{1, 0x600};
 
-    std::shared_ptr<metrics::Registry> reg;
-    metrics::Counter *cPowerCycles = nullptr;
-    metrics::Counter *cCheckpoints = nullptr;
-    metrics::Counter *cInterrupted = nullptr;
-    metrics::Gauge *gStored = nullptr;
-    metrics::LogHistogram *hOff = nullptr;
-    metrics::LogHistogram *hRecoveryEw = nullptr;
-
     explicit Harness(const HarvestOptions &o)
         : opt(o),
-          w(check::schemeConfig(o.scheme, o.ewTarget)
-                .withTrace(o.traceCapacity),
-            o.workload == "txmix" ? 2u : 1u, /*threads=*/1u, pmoBytes,
-            logOff),
-          cap(o.cap), rng(0x9e3779b97f4a7c15ULL ^ o.seed),
-          txmix(o.workload == "txmix")
+          run(harvestWorkload(o.workload),
+              check::schemeConfig(o.scheme, o.ewTarget)
+                  .withTrace(o.traceCapacity),
+              0x9e3779b97f4a7c15ULL ^ o.seed),
+          cap(o.cap)
     {
-        TERP_ASSERT(o.workload == "bank" || o.workload == "txmix",
-                    "harvest: unknown workload ", o.workload);
+        oracle = o.oracle;
+        auditEvery = o.auditEvery;
         // Sweeper energy budgeting: a tick the backup reserve cannot
         // afford is skipped — the hook grid advances, windows stay
         // open, and the exposure cost shows up in the EW metrics.
@@ -82,264 +76,155 @@ struct Harness
         // skipped for energy the sweeper *couldn't* act, so idle
         // exposure is EnergyDark, not SweeperLag. setEnergyDark
         // dedupes repeated states, so toggling per tick is free.
-        w.sweepGate = [this](Cycles t) {
-            if (cap.belowSweepReserve()) {
-                ++res.sweepsSkipped;
-                w.rt->exposureMut().setEnergyDark(true, t);
-                return false;
-            }
-            ++res.sweepsRun;
-            w.rt->exposureMut().setEnergyDark(false, t);
-            return true;
+        run.w.sweepGate = [this](Cycles t) {
+            bool afford = !cap.belowSweepReserve();
+            ++(afford ? res.sweepsRun : res.sweepsSkipped);
+            run.w.rt->exposureMut().setEnergyDark(!afford, t);
+            return afford;
         };
-        reg = w.rt->metricsRegistry();
-        if (reg) {
-            cPowerCycles = &reg->counter("energy.power_cycles");
-            cCheckpoints = &reg->counter("energy.checkpoints");
-            cInterrupted = &reg->counter("energy.txns_interrupted");
-            gStored = &reg->gauge("energy.stored_units");
-            hOff = &reg->histogram("energy.off_cycles");
-            hRecoveryEw =
-                &reg->histogram("energy.recovery_ew_cycles");
-        }
     }
 
     /** Charge the capacitor for machine time not yet accounted. */
     void
     settleEnergy()
     {
-        Cycles now = w.mach.maxClock();
+        Cycles now = run.w.mach.maxClock();
         if (now > energyClock) {
             cap.drain(now - energyClock);
             energyClock = now;
         }
     }
 
+    /** Count the step's commits and aborts (once, finished or not). */
     void
-    addViolation(const std::string &msg)
+    countStep(const check::RecoveryRun &r)
     {
-        if (res.violations.size() < opt.maxViolations) {
-            std::ostringstream os;
-            os << "cycle " << res.powerCycles << ": " << msg;
-            res.violations.push_back(os.str());
-        } else if (res.violations.size() == opt.maxViolations) {
-            res.violations.push_back("... further violations "
-                                     "suppressed");
-        }
+        res.committed += r.led.done - done0;
+        res.aborted += r.led.aborted - aborted0;
+        done0 = r.led.done;
+        aborted0 = r.led.aborted;
     }
 
-    std::vector<std::pair<pm::Oid, std::uint64_t>>
-    nextBankWrites()
-    {
-        const pm::Oid seq(1, 0x800);
-        const pm::PersistController &ctl = w.dom.controller();
-        if (!inited) {
-            std::vector<std::pair<pm::Oid, std::uint64_t>> init;
-            for (unsigned i = 0; i < 8; ++i)
-                init.push_back({acct(i), 1000});
-            init.push_back({seq, 1});
-            return init;
-        }
-        auto a = static_cast<unsigned>(rng.nextBelow(8));
-        auto b = static_cast<unsigned>(rng.nextBelow(7));
-        if (b >= a)
-            ++b;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        // Two's-complement arithmetic keeps the sum invariant even
-        // through a (harmless) negative balance.
-        std::uint64_t newA = ctl.load(acct(a)) - amt;
-        std::uint64_t newB = ctl.load(acct(b)) + amt;
-        return {{acct(a), newA},
-                {acct(b), newB},
-                {seq, ctl.load(seq) + 1}};
-    }
-
-    /**
-     * One nested TxManager transfer across two PMOs, txnest-style:
-     * alternating undo/redo kinds, ~20% inner aborts poisoning the
-     * outer commit. The oracle flight stays armed if a power failure
-     * unwinds the transaction; resolveFlights() settles it after
-     * recovery.
-     */
-    void
-    runTxmixTxn(sim::ThreadContext &tc)
-    {
-        pm::TxManager &txm = *w.rt->tx();
-        const pm::PersistController &ctl = w.dom.controller();
-        const pm::Oid acctA(1, 0x1000), acctB(2, 0x1000),
-            seq(1, 0x800);
-        bool init = !inited;
-        bool redo = !init && rng.nextBelow(2) == 1;
-        bool doAbort = !init && rng.nextBelow(100) < 20;
-        std::uint64_t amt = 1 + rng.nextBelow(200);
-        std::uint64_t newA = init ? 1000 : ctl.load(acctA) - amt;
-        std::uint64_t newB = init ? 1000 : ctl.load(acctB) + amt;
-        std::uint64_t s = ctl.load(seq) + 1;
-        std::vector<std::pair<pm::Oid, std::uint64_t>> writes = {
-            {acctA, newA}, {acctB, newB}, {seq, s}};
-
-        check::armFlight(led, 0, redo && !doAbort, writes);
-        check::protOpen(w, tc, 1);
-        check::protOpen(w, tc, 2);
-        txm.begin(tc, 0, {1, 2},
-                  redo ? pm::TxKind::Redo : pm::TxKind::Undo);
-        w.rt->access(tc, acctA, /*write=*/true);
-        txm.write(tc, 0, acctA, newA);
-        txm.begin(tc, 0, {2}); // nested level: locks already held
-        w.rt->access(tc, acctB, /*write=*/true);
-        txm.write(tc, 0, acctB, newB);
-        txm.write(tc, 0, seq, s);
-        if (doAbort)
-            txm.abort(tc, 0);
-        txm.commit(tc, 0); // inner: unwind only
-        bool ok = txm.commit(tc, 0); // outermost: the durable point
-        check::protClose(w, tc, 2);
-        check::protClose(w, tc, 1);
-        check::settleFlight(led, 0, ok);
-        if (ok) {
-            ++res.committed;
-            if (init)
-                inited = true;
-        } else {
-            ++res.aborted;
-        }
-        w.advanceSweeps(tc.now());
-    }
-
-    /**
-     * One transaction under the energy regime: checkpoint below the
-     * watermark, arm the race-to-expiry fault when the runway no
-     * longer covers a transaction, run it, and charge the capacitor.
-     * Returns false when the power failed mid-transaction.
-     */
     bool
-    runOneTxn(sim::ThreadContext &tc)
+    more(const check::RecoveryRun &r) const override
     {
-        pm::PersistController &ctl = w.dom.controller();
+        return r.powerCycles < opt.powerCycles &&
+               res.violations.size() <= opt.maxViolations;
+    }
 
-        bool armed = false;
-        try {
-            // Checkpoint policy: below the watermark, fence pending
-            // write-backs (the unfenced scratch update) while the
-            // energy still covers the flush.
-            if (scratchPending && cap.belowWatermark()) {
-                ctl.sfence(tc);
-                scratchPending = false;
-                ++res.checkpoints;
-                if (cCheckpoints)
-                    cCheckpoints->inc();
-            }
+    bool
+    powered() const override
+    {
+        return !cap.failed() && cap.runway() != 0;
+    }
 
-            // Race to expiry: when the runway no longer covers a
-            // transaction (cost estimated from the last completed
-            // one), the power will fail mid-transaction — plant the
-            // modeled failure at the boundary the energy runs out
-            // at, scaled by the boundary density of a transaction.
-            if (estCycles > 0 && estBoundaries > 0) {
-                Cycles runway = cap.runway();
-                if (runway < estCycles) {
-                    std::uint64_t frac =
-                        (estBoundaries * runway) / estCycles;
-                    std::uint64_t off =
-                        std::min(frac, estBoundaries - 1);
-                    ctl.armFault(ctl.boundaryCount() + 1 + off);
-                    armed = true;
-                }
-            }
-
-            Cycles c0 = w.mach.maxClock();
-            std::uint64_t b0 = ctl.boundaryCount();
-            ++attempts;
-            if (txmix) {
-                runTxmixTxn(tc);
-            } else {
-                bool wasInit = !inited;
-                check::runTxn(w, led, tc, 1, nextBankWrites());
-                if (wasInit)
-                    inited = true;
-                ++res.committed;
-            }
-            // Unfenced scratch update: store + clwb but no fence —
-            // durable at the next fence, wherever that lands. The
-            // checkpoint watermark exists to bound how much of this
-            // a power failure can lose.
-            ctl.persistentStore(tc, scratchOid, attempts);
-            scratchPending = true;
-
-            settleEnergy();
-            estCycles = w.mach.maxClock() - c0;
-            estBoundaries = ctl.boundaryCount() - b0;
-        } catch (const pm::PowerFailure &) {
-            ++res.interrupted;
-            if (cInterrupted)
-                cInterrupted->inc();
-            settleEnergy();
-            return false;
+    void
+    beforeStep(check::RecoveryRun &r) override
+    {
+        pm::PersistController &ctl = r.w.dom.controller();
+        // Checkpoint policy: below the watermark, fence pending
+        // write-backs (the unfenced scratch update) while the energy
+        // still covers the flush.
+        if (scratchPending && cap.belowWatermark()) {
+            ctl.sfence(r.w.mach.thread(0));
+            scratchPending = false;
+            ++res.checkpoints;
         }
+
+        // Race to expiry: when the runway no longer covers a step
+        // (cost estimated from the last completed one), the power
+        // will fail mid-step — plant the modeled failure at the
+        // boundary the energy runs out at, scaled by the boundary
+        // density of a step.
+        armed = estCycles > 0 && estBoundaries > 0 &&
+                cap.runway() < estCycles;
         if (armed) {
-            // The estimate overshot — the transaction fit after all.
-            // A stale plan must never survive into the crash or the
-            // recovery path.
-            ctl.disarmFault();
+            std::uint64_t frac =
+                (estBoundaries * cap.runway()) / estCycles;
+            ctl.armFault(ctl.boundaryCount() + 1 +
+                         std::min(frac, estBoundaries - 1));
         }
-        return true;
+        c0 = r.w.mach.maxClock();
+        b0 = ctl.boundaryCount();
+        done0 = r.led.done;
+        aborted0 = r.led.aborted;
+        ++attempts;
+    }
+
+    void
+    afterStep(check::RecoveryRun &r) override
+    {
+        countStep(r);
+        pm::PersistController &ctl = r.w.dom.controller();
+        // Unfenced scratch update: store + clwb but no fence —
+        // durable at the next fence, wherever that lands. The
+        // checkpoint watermark exists to bound how much of this a
+        // power failure can lose.
+        ctl.persistentStore(r.w.mach.thread(0), scratchOid, attempts);
+        scratchPending = true;
+
+        settleEnergy();
+        estCycles = r.w.mach.maxClock() - c0;
+        estBoundaries = ctl.boundaryCount() - b0;
+        // The estimate overshot — the step fit after all. A stale
+        // plan must never survive into the crash or the recovery
+        // path.
+        if (armed)
+            ctl.disarmFault();
+    }
+
+    void
+    interrupted(check::RecoveryRun &r, const pm::PowerFailure &) override
+    {
+        countStep(r);
+        ++res.interrupted;
+        settleEnergy();
+    }
+
+    void
+    powerOff(check::RecoveryRun &r, Cycles at) override
+    {
+        if (auto sink = r.w.rt->traceSink())
+            sink->emit(trace::TraceSink::kernelTid,
+                       trace::EventKind::PowerFail, at, trace::noPmo,
+                       cap.storedUnits());
     }
 
     /**
-     * Settle oracle flights left open by a mid-transaction power
-     * failure: the durable image tells which side of the durable
-     * point the crash landed on (checkDurable() already verified it
-     * is not torn).
+     * The dark recharge. Verification work after it (the idle drain,
+     * the probe transaction, the audit) is the oracle's instrument,
+     * not modeled execution: report() re-anchors the energy clock
+     * past it.
      */
-    void
-    resolveFlights()
+    Cycles
+    dark(check::RecoveryRun &r, Cycles at) override
     {
-        const pm::PersistController &ctl = w.dom.controller();
-        for (auto it = led.flight.begin(); it != led.flight.end();) {
-            const check::TxFlight &fl = it->second;
-            bool allNew = fl.ambiguous && !fl.keys.empty();
-            for (std::uint64_t raw : fl.keys) {
-                if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
-                    fl.newv.at(raw)) {
-                    allNew = false;
-                    break;
-                }
-            }
-            if (allNew) {
-                for (const auto &[raw, v] : fl.newv)
-                    led.image[raw] = v;
-                ++led.done;
-            }
-            it = led.flight.erase(it);
-        }
-        led.inFlight.clear();
+        check::CrashWorld &w = r.w;
+        Cycles off = cap.rechargeCycles();
+        cap.recharge();
+        Cycles resume = at + off;
+        res.offCycles += off;
+        // The machine is dark: the hook grid advances over the gap
+        // without firing.
+        while (w.nextHook <= resume)
+            w.nextHook += w.hookPeriod;
+        if (auto sink = w.rt->traceSink())
+            sink->emit(trace::TraceSink::kernelTid,
+                       trace::EventKind::Recharge, resume,
+                       trace::noPmo, off);
+        energyClock = resume;
+        // The capacitor is recharged: recovery-reopened windows are
+        // the sweeper's to close again, not energy-dark. All windows
+        // are closed here, so the flush inside is a no-op.
+        w.rt->exposureMut().setEnergyDark(false, resume);
+        return resume;
     }
 
     void
-    checkWorkloadInvariant(std::vector<std::string> &v)
+    recovered(check::RecoveryRun &, unsigned logs) override
     {
-        const pm::PersistController &ctl = w.dom.controller();
-        if (txmix) {
-            std::uint64_t sum =
-                ctl.persistedLoad(pm::Oid(1, 0x1000)) +
-                ctl.persistedLoad(pm::Oid(2, 0x1000));
-            if (sum != 0 && sum != 2000) {
-                std::ostringstream os;
-                os << "txmix: recovered cross-PMO balances sum to "
-                   << sum << ", expected 2000 (or 0 pre-init)";
-                v.push_back(os.str());
-            }
-            return;
-        }
-        std::uint64_t sum = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            sum += ctl.persistedLoad(acct(i));
-        if (sum != 0 && sum != 8 * 1000) {
-            std::ostringstream os;
-            os << "bank: recovered balances sum to " << sum
-               << ", expected 8000 (or 0 pre-init)";
-            v.push_back(os.str());
-        }
+        res.recoveredLogs += logs;
+        settleEnergy(); // recovery dips into the fresh charge
     }
 
     /**
@@ -349,10 +234,11 @@ struct Harness
      * the attempts that wrote it.
      */
     void
-    checkScratch(std::vector<std::string> &v)
+    extraChecks(check::RecoveryRun &r,
+                std::vector<std::string> &v) override
     {
         std::uint64_t cur =
-            w.dom.controller().persistedLoad(scratchOid);
+            r.w.dom.controller().persistedLoad(scratchOid);
         if (cur < lastDurableScratch) {
             std::ostringstream os;
             os << "scratch: durable counter regressed "
@@ -361,172 +247,42 @@ struct Harness
         }
         if (cur > attempts) {
             std::ostringstream os;
-            os << "scratch: durable counter " << cur
-               << " ahead of " << attempts << " attempts";
+            os << "scratch: durable counter " << cur << " ahead of "
+               << attempts << " attempts";
             v.push_back(os.str());
         }
         lastDurableScratch = cur;
     }
 
-    /** Post-recovery liveness probe; feeds the atomicity ledger. */
     void
-    probe(std::vector<std::string> &v)
+    report(check::RecoveryRun &r, std::vector<std::string> &v) override
     {
-        sim::ThreadContext &tc = w.mach.thread(0);
-        Cycles drained = w.nextHook - w.hookPeriod;
-        if (tc.now() < drained)
-            tc.syncTo(drained, sim::Charge::Other);
-        check::runTxn(w, led, tc, 1,
-                      {{pm::Oid(1, pmoBytes - 8),
-                        0x900d0000ULL + res.powerCycles}});
-        check::checkDurable(w, led, v);
-        check::drainIdleWindows(w, "the probe transaction", v);
-    }
-
-    void
-    audit(std::vector<std::string> &v)
-    {
-        auto sink = w.rt->traceSink();
-        if (!sink)
-            return;
-        if (!sink->complete()) {
-            v.push_back("trace ring wrapped before the audit; raise "
-                        "traceCapacity or auditEvery");
-            return;
+        for (const std::string &m : v) {
+            if (res.violations.size() < opt.maxViolations) {
+                std::ostringstream os;
+                os << "cycle " << r.powerCycles << ": " << m;
+                res.violations.push_back(os.str());
+            } else if (res.violations.size() == opt.maxViolations) {
+                res.violations.push_back("... further violations "
+                                         "suppressed");
+            }
         }
-        trace::AuditReport rep = trace::auditTimeline(
-            *sink, w.mach.maxClock(), w.rt->exposure());
-        for (const std::string &m : rep.mismatches)
-            v.push_back("trace audit: " + m);
-        if (!rep.ok && rep.mismatches.empty())
-            v.push_back("trace audit failed without detail");
-    }
-
-    /**
-     * The power-fail / recharge / recover sequence, plus the
-     * per-cycle oracle. Verification work (the idle drain, the probe
-     * transaction, the audit) is the oracle's instrument, not
-     * modeled execution: its cycles are excluded from the energy
-     * account by re-anchoring the energy clock afterwards.
-     */
-    void
-    powerFail()
-    {
-        pm::PersistController &ctl = w.dom.controller();
-        // A fault plan armed for the execution that just died must
-        // not fire inside recovery.
-        if (ctl.faultArmed())
-            ctl.disarmFault();
-
-        Cycles at = w.mach.maxClock();
-        for (unsigned i = 0; i < w.mach.threadCount(); ++i) {
-            sim::ThreadContext &t = w.mach.thread(i);
-            if (!t.done && !t.blocked() && t.now() < at)
-                t.syncTo(at, sim::Charge::Other);
-        }
-        auto sink = w.rt->traceSink();
-        if (sink) {
-            sink->emit(trace::TraceSink::kernelTid,
-                       trace::EventKind::PowerFail, at, trace::noPmo,
-                       cap.storedUnits());
-        }
-        w.rt->crash(at);
-        if (gStored)
-            gStored->set(static_cast<double>(cap.storedUnits()));
-
-        Cycles off = cap.rechargeCycles();
-        cap.recharge();
-        Cycles resume = at + off;
-        res.offCycles += off;
-        if (hOff)
-            hOff->record(off);
-        // The machine is dark: the hook grid advances over the gap
-        // without firing.
-        while (w.nextHook <= resume)
-            w.nextHook += w.hookPeriod;
-        if (sink) {
-            sink->emit(trace::TraceSink::kernelTid,
-                       trace::EventKind::Recharge, resume,
-                       trace::noPmo, off);
-        }
-
-        sim::ThreadContext &rtc = w.mach.thread(0);
-        if (rtc.now() < resume)
-            rtc.syncTo(resume, sim::Charge::Other);
-        energyClock = resume;
-        // The capacitor is recharged: recovery-reopened windows are
-        // the sweeper's to close again, not energy-dark. All windows
-        // are closed here, so the flush inside is a no-op.
-        w.rt->exposureMut().setEnergyDark(false, resume);
-        unsigned n = w.rt->recover(rtc);
-        res.recoveredLogs += n;
-        settleEnergy(); // recovery dips into the fresh charge
-
-        std::vector<std::string> v;
-        check::drainIdleWindows(w, "recovery", v);
-        if (hRecoveryEw) {
-            // Recovery-reopened exposure: attach at resume, closed by
-            // the idle drain — one sample per replayed PMO.
-            Cycles closed = w.mach.maxClock();
-            for (unsigned i = 0; i < n; ++i)
-                hRecoveryEw->record(closed - resume);
-        }
-        if (opt.oracle) {
-            check::checkLogsRetired(w, v);
-            resolveFlights();
-            check::checkDurable(w, led, v);
-            checkWorkloadInvariant(v);
-            checkScratch(v);
-            probe(v);
-        } else {
-            resolveFlights();
-        }
-        ++res.powerCycles;
-        if (cPowerCycles)
-            cPowerCycles->inc();
-        if (opt.oracle && opt.auditEvery &&
-            res.powerCycles % opt.auditEvery == 0) {
-            audit(v);
-        }
-        for (const std::string &m : v)
-            addViolation(m);
         // Verification cycles are free.
-        energyClock = w.mach.maxClock();
+        energyClock = r.w.mach.maxClock();
     }
 
     HarvestResult
-    run()
+    finish()
     {
-        sim::ThreadContext &tc = w.mach.thread(0);
-        while (res.powerCycles < opt.powerCycles &&
-               res.violations.size() <= opt.maxViolations) {
-            if (cap.failed() || cap.runway() == 0) {
-                powerFail();
-                continue;
-            }
-            if (!runOneTxn(tc)) {
-                powerFail();
-                continue;
-            }
-            if (cap.failed())
-                powerFail();
-        }
-
-        w.rt->finalize();
-        if (opt.oracle && opt.auditEvery) {
-            std::vector<std::string> v;
-            audit(v);
-            for (const std::string &m : v)
-                addViolation(m);
-        }
+        check::runRecovery(run, *this);
+        const check::CrashWorld &w = run.w;
+        res.powerCycles = run.powerCycles;
         res.simCycles = w.mach.maxClock();
         res.exposure = w.rt->exposure().metricsAll(
             res.simCycles, w.mach.threadCount());
         for (unsigned c = 0; c < semantics::numBlameCauses; ++c)
             res.blame[c] = w.rt->exposure().blameTotalAll(
                 static_cast<semantics::BlameCause>(c));
-        if (gStored)
-            gStored->set(static_cast<double>(cap.storedUnits()));
         return std::move(res);
     }
 };
@@ -537,7 +293,7 @@ HarvestResult
 runHarvest(const HarvestOptions &opt)
 {
     Harness h(opt);
-    return h.run();
+    return h.finish();
 }
 
 } // namespace energy

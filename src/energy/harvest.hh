@@ -33,11 +33,15 @@ struct HarvestOptions
 {
     std::string scheme = "tt";
     /**
-     * "bank": single-PMO undo-log transfers (plus an unfenced scratch
-     * counter the checkpoint watermark protects). "txmix": nested
+     * A check/recovery_engine workload that never runs out of room:
+     * "bank" (single-PMO undo-log transfers), "txmix" (nested
      * TxManager transactions across two PMOs, alternating undo/redo
      * kinds with occasional aborts — power failures land inside
-     * commit sequences, including the redo ambiguity window.
+     * commit sequences, including the redo ambiguity window) or
+     * "txpair" (two threads, disjoint-PMO transactions). Every
+     * workload also bumps an unfenced scratch counter the checkpoint
+     * watermark protects. runHarvest() throws std::invalid_argument
+     * for any other name.
      */
     std::string workload = "bank";
     std::uint64_t seed = 0;
@@ -60,7 +64,7 @@ struct HarvestResult
     unsigned powerCycles = 0;        //!< completed fail/recover cycles
     std::uint64_t committed = 0;     //!< durable transaction commits
     std::uint64_t interrupted = 0;   //!< transactions killed mid-flight
-    std::uint64_t aborted = 0;       //!< txmix voluntary aborts
+    std::uint64_t aborted = 0;       //!< TxManager voluntary aborts
     std::uint64_t checkpoints = 0;   //!< watermark-triggered flushes
     std::uint64_t sweepsRun = 0;     //!< sweeper ticks that fit the budget
     std::uint64_t sweepsSkipped = 0; //!< ticks gated by the reserve

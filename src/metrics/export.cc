@@ -3,28 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace terp {
 namespace metrics {
 
 namespace {
-
-/** JSON string escaping (names are tame, but be correct anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 std::string
 fmtDouble(double v)

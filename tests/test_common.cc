@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: units, logging, RNG, statistics.
+ * Unit tests for src/common: units, logging, RNG, statistics, strict
+ * flag parsing and JSON escaping.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <cmath>
 #include <set>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -245,4 +248,31 @@ TEST(CounterSet, IncrementAndQuery)
     EXPECT_EQ(c.all().size(), 2u);
     c.reset();
     EXPECT_EQ(c.get("x"), 0u);
+}
+
+// --------------------------------------------------- flags and JSON
+
+TEST(Cli, ParseUnsignedTakesOnlyWholeInRangeNumbers)
+{
+    EXPECT_EQ(parseUnsigned("12"), 12u);
+    EXPECT_EQ(parseUnsigned("0x10"), 16u);
+    EXPECT_EQ(parseUnsigned("7", 7, 7), 7u);
+    for (const char *bad : {"", "-1", "+1", " 5", "5x", "abc",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseUnsigned(bad)) << bad;
+    EXPECT_FALSE(parseUnsigned("0", 1));
+    EXPECT_FALSE(parseUnsigned("4294967296", 0, 4294967295u));
+}
+
+TEST(Cli, ParsePositiveRejectsZeroNegativeAndNonFinite)
+{
+    EXPECT_EQ(parsePositive("2.5"), 2.5);
+    for (const char *bad : {"", "0", "-1", "nan", "inf", "1e", "5us"})
+        EXPECT_FALSE(parsePositive(bad)) << bad;
+}
+
+TEST(Json, EscapeLeavesNoRawControlByte)
+{
+    EXPECT_EQ(jsonEscape("a\"b\\\n\r\t\x01\x1f~"),
+              "a\\\"b\\\\\\n\\r\\t\\u0001\\u001f~");
 }

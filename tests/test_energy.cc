@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "arch/circular_buffer.hh"
 #include "check/fuzzer.hh"
 #include "core/domain.hh"
-#include "check/recovery_oracle.hh"
+#include "check/recovery_engine.hh"
 #include "energy/capacitor.hh"
 #include "energy/harvest.hh"
 #include "pm/persist.hh"
@@ -35,35 +37,6 @@ makeWorld(const std::string &scheme, unsigned pmos, unsigned threads)
         pmos, threads, kPmoBytes, kLogOff);
 }
 
-/**
- * Settle oracle flights after a crash: checkDurable() verified the
- * transaction is not torn, so the durable image of its keys says
- * which side of the durable point the crash landed on.
- */
-void
-resolveFlights(check::CrashWorld &w, check::Ledger &led)
-{
-    const pm::PersistController &ctl = w.dom.controller();
-    for (auto it = led.flight.begin(); it != led.flight.end();) {
-        const check::TxFlight &fl = it->second;
-        bool allNew = fl.ambiguous && !fl.keys.empty();
-        for (std::uint64_t raw : fl.keys) {
-            if (ctl.persistedLoad(pm::Oid::fromRaw(raw)) !=
-                fl.newv.at(raw)) {
-                allNew = false;
-                break;
-            }
-        }
-        if (allNew) {
-            for (const auto &[raw, v] : fl.newv)
-                led.image[raw] = v;
-            ++led.done;
-        }
-        it = led.flight.erase(it);
-    }
-    led.inFlight.clear();
-}
-
 /** Post-crash recovery plus the full invariants + liveness probe. */
 void
 recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
@@ -74,8 +47,8 @@ recoverAndCheck(check::CrashWorld &w, check::Ledger &led,
     std::vector<std::string> v;
     check::checkLogsRetired(w, v);
     check::drainIdleWindows(w, "recovery", v);
-    resolveFlights(w, led);
     check::checkDurable(w, led, v);
+    check::resolveFlights(w, led);
     Cycles drained = w.nextHook - w.hookPeriod;
     if (tc.now() < drained)
         tc.syncTo(drained, sim::Charge::Other);
@@ -195,15 +168,21 @@ TEST(Harvest, ThousandCycleOracleEveryScheme)
     }
 }
 
-TEST(Harvest, TxmixOracleUnderPowerFail)
+/**
+ * Every workload harvest can run, on every scheme: hundreds of power
+ * cycles in one world with failures landing inside transactions —
+ * TxManager commit sequences (undo and redo kinds, voluntary aborts)
+ * for txmix, two threads' staggered commits for txpair.
+ */
+class HarvestEveryWorkload
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
 {
-    // Nested TxManager transactions across two PMOs with power
-    // failures landing inside commit sequences (undo and redo kinds,
-    // voluntary aborts mixed in), repeated for hundreds of cycles in
-    // one world.
+};
+
+TEST_P(HarvestEveryWorkload, OracleUnderPowerFail)
+{
     energy::HarvestOptions opt;
-    opt.scheme = "tt";
-    opt.workload = "txmix";
+    std::tie(opt.workload, opt.scheme) = GetParam();
     opt.powerCycles = 300;
     opt.cap.capacityUnits = 700;
     opt.auditEvery = 100;
@@ -214,6 +193,35 @@ TEST(Harvest, TxmixOracleUnderPowerFail)
     EXPECT_GT(res.interrupted, 0u);
     for (const std::string &v : res.violations)
         ADD_FAILURE() << v;
+}
+
+std::vector<std::tuple<std::string, std::string>>
+harvestCells()
+{
+    std::vector<std::tuple<std::string, std::string>> cells;
+    for (const check::RecoveryWorkload &wl : check::recoveryWorkloads())
+        if (wl.maxSteps == check::unboundedSteps)
+            for (const std::string &scheme : check::allSchemes())
+                cells.emplace_back(wl.name, scheme);
+    return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, HarvestEveryWorkload,
+                         ::testing::ValuesIn(harvestCells()),
+                         [](const auto &info) {
+                             return std::get<0>(info.param) + "_" +
+                                    std::get<1>(info.param);
+                         });
+
+TEST(Harvest, RefusesWorkloadsThatRunOut)
+{
+    energy::HarvestOptions opt;
+    opt.powerCycles = 1;
+    for (const char *wl : {"hashmap", "schedule", "nonesuch"}) {
+        opt.workload = wl;
+        EXPECT_THROW(energy::runHarvest(opt), std::invalid_argument)
+            << wl;
+    }
 }
 
 TEST(Harvest, Deterministic)
@@ -362,7 +370,6 @@ TEST(RepeatedCycles, DoubleCrashWithoutRecoverIsWellDefined)
     // Leave an undo transaction durably in flight.
     check::runTxn(w, led, tc, 1, {{pm::Oid(1, 0x40), 0x11}});
     ctl.armFault(ctl.boundaryCount() + 6);
-    led.inFlight.clear();
     try {
         check::runTxn(w, led, tc, 1, {{pm::Oid(1, 0x40), 0x22},
                                       {pm::Oid(1, 0x80), 0x33}});
@@ -399,8 +406,7 @@ TEST(RepeatedCycles, BrownOutDuringRecovery)
     bool pending = false;
     for (std::uint64_t nth = 1; nth <= 64 && !pending; ++nth) {
         ctl.armFault(ctl.boundaryCount() + nth);
-        led.inFlight.clear();
-        try {
+            try {
             check::runTxn(w, led, tc, 1,
                           {{pm::Oid(1, 0x40), 0x5200 + nth},
                            {pm::Oid(1, 0x80), 0x5300 + nth}});

@@ -4,9 +4,10 @@
  * nesting (flattening, abort poisoning, outermost-only durable
  * points), per-PMO locking with deadlock-free non-blocking
  * acquisition, the redo-log variant (read-your-writes, roll-forward
- * recovery), crash-point sweeps over nested and two-thread
- * transactional workloads, recovery racing a still-armed fault plan,
- * and the differential fuzzer's transaction schedules.
+ * recovery), recovery racing a still-armed fault plan, and the
+ * differential fuzzer's transaction schedules. Crash-point sweeps
+ * over the nested (txmix) and two-thread (txpair) workloads run with
+ * every other recovery-engine workload in test_crash.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "check/crash.hh"
 #include "check/fuzzer.hh"
 #include "core/runtime.hh"
 #include "pm/persist.hh"
@@ -331,32 +331,6 @@ TEST(TxCrash, RecoverRacesArmedFaultAtNestedCommitBoundaries)
     }
     EXPECT_TRUE(sawLogHeader)
         << "the sweep never hit the commit's LogHeader boundary";
-}
-
-TEST(TxCrash, NestedWorkloadSurvivesEveryCrashPoint)
-{
-    check::CrashOptions opt;
-    opt.scheme = "tm";
-    opt.workload = "txnest";
-    opt.txns = 4;
-    check::CrashResult res = check::enumerateCrashPoints(opt);
-    EXPECT_GT(res.boundaries, 0u);
-    EXPECT_TRUE(res.ok()) << (res.violations.empty()
-                                  ? ""
-                                  : res.violations.front().detail);
-}
-
-TEST(TxCrash, TwoThreadDisjointPmoWorkloadSurvivesEveryCrashPoint)
-{
-    check::CrashOptions opt;
-    opt.scheme = "tt";
-    opt.workload = "txpair";
-    opt.txns = 4;
-    check::CrashResult res = check::enumerateCrashPoints(opt);
-    EXPECT_GT(res.boundaries, 0u);
-    EXPECT_TRUE(res.ok()) << (res.violations.empty()
-                                  ? ""
-                                  : res.violations.front().detail);
 }
 
 // ------------------------------------------------------- fuzz smoke

@@ -14,17 +14,18 @@
  * capacitor in the list (the closest cell to steady power).
  *
  * Usage:
- *   terp-harvest [options]
+ *   terp-harvest [options]    (flags also accept "--flag VALUE")
  *
  * Options:
- *   --scheme S        all (default) or one of: mm tm tt ttnc basic
- *   --workload W      bank (default) or txmix
- *   --caps LIST       comma-separated capacitor sizes in energy
- *                     units (default 600,1000,2000,4000)
- *   --cycles N        power cycles per cell (default 200)
- *   --seed N          workload seed (default 0)
- *   --ew US           EW target in microseconds (default 5)
- *   --audit N         trace-audit stride in power cycles (default
+ *   --scheme=S        all (default) or one of: mm tm tt ttnc basic
+ *   --workload=W      bank (default), txmix or txpair
+ *   --caps=LIST       comma-separated capacitor sizes in energy
+ *                     units, each above the 100-unit fail threshold
+ *                     (default 600,1000,2000,4000)
+ *   --cycles=N        power cycles per cell (default 200)
+ *   --seed=N          workload seed (default 0)
+ *   --ew=US           EW target in microseconds (default 5)
+ *   --audit=N         trace-audit stride in power cycles (default
  *                     25; 0 disables)
  *   --json            one JSON object per cell on stdout
  *   --golden=FILE     fail (exit 1) if the deterministic per-cell
@@ -38,13 +39,18 @@
  */
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/fuzzer.hh"
+#include "common/cli.hh"
 #include "energy/harvest.hh"
 #include "history.hh"
 
@@ -64,25 +70,36 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: terp-harvest [--scheme all|mm|tm|tt|ttnc|basic]\n"
-        "                    [--workload bank|txmix] [--caps LIST]\n"
-        "                    [--cycles N] [--seed N] [--ew US]\n"
-        "                    [--audit N] [--json] [--golden=FILE]\n"
-        "                    [--write-golden=FILE] [--history=PATH]\n");
+        "usage: terp-harvest [--scheme=all|mm|tm|tt|ttnc|basic]\n"
+        "                    [--workload=bank|txmix|txpair]\n"
+        "                    [--caps=LIST] [--cycles=N] [--seed=N]\n"
+        "                    [--ew=US] [--audit=N] [--json]\n"
+        "                    [--golden=FILE] [--write-golden=FILE]\n"
+        "                    [--history=PATH]\n");
     return 2;
 }
 
+/**
+ * The --caps list, or an empty vector when an entry is not a whole
+ * number above the capacitor's fail threshold (and small enough for
+ * its fixed-point level).
+ */
 std::vector<std::uint64_t>
 parseCaps(const std::string &list)
 {
+    const std::uint64_t floor =
+        energy::CapacitorConfig{}.failThresholdUnits + 1;
     std::vector<std::uint64_t> caps;
     std::size_t pos = 0;
-    while (pos < list.size()) {
+    while (pos <= list.size()) {
         std::size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
             comma = list.size();
-        caps.push_back(std::strtoull(
-            list.substr(pos, comma - pos).c_str(), nullptr, 0));
+        std::optional<std::uint64_t> cap = parseUnsigned(
+            list.substr(pos, comma - pos), floor, 1'000'000'000'000ULL);
+        if (!cap)
+            return {};
+        caps.push_back(*cap);
         pos = comma + 1;
     }
     return caps;
@@ -152,6 +169,9 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return unsignedFlag("terp-harvest", a, val(), lo, hi);
+        };
         if (a == "--scheme") {
             scheme = val();
         } else if (a == "--workload") {
@@ -159,15 +179,13 @@ main(int argc, char **argv)
         } else if (a == "--caps") {
             capsArg = val();
         } else if (a == "--cycles") {
-            cycles = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+            cycles = static_cast<unsigned>(count(1, UINT_MAX));
         } else if (a == "--seed") {
-            seed = std::strtoull(val().c_str(), nullptr, 0);
+            seed = count(0, UINT64_MAX);
         } else if (a == "--ew") {
-            ewUs = std::strtod(val().c_str(), nullptr);
+            ewUs = positiveFlag("terp-harvest", a, val());
         } else if (a == "--audit") {
-            audit = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
+            audit = static_cast<unsigned>(count(0, UINT_MAX));
         } else if (a == "--json") {
             json = true;
         } else if (a == "--golden") {
@@ -185,8 +203,15 @@ main(int argc, char **argv)
     }
 
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
-    if (caps.empty() || cycles == 0)
-        return usage();
+    if (caps.empty()) {
+        std::fprintf(stderr,
+                     "terp-harvest: --caps needs comma-separated "
+                     "integers above %llu, got '%s'\n",
+                     (unsigned long long)energy::CapacitorConfig{}
+                         .failThresholdUnits,
+                     capsArg.c_str());
+        return 2;
+    }
     std::vector<std::string> schemes =
         scheme == "all" ? check::allSchemes()
                         : std::vector<std::string>{scheme};
@@ -212,6 +237,9 @@ main(int argc, char **argv)
             cell.capUnits = cap;
             try {
                 cell.res = energy::runHarvest(opt);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "terp-harvest: %s\n", e.what());
+                return 2;
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "terp-harvest: %s %llu: %s\n",
                              sc.c_str(), (unsigned long long)cap,
