@@ -12,12 +12,14 @@
  *     threshold vs the measured thread exposure and cond overhead.
  *
  * Usage: ablation_sweep [sections] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 #include <iterator>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "security/attack_model.hh"
 #include "workloads/whisper.hh"
@@ -29,10 +31,14 @@ using namespace terp::bench;
 int
 terp::bench::run_ablation(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 250));
+    p.sections = 250;
+    FlagTable("ablation_sweep",
+              "Ablation: EW target, sweep period and TEW sweeps")
+        .jobs("--jobs", jobs)
+        .count("sections", p.sections, 1, "WHISPER transactions per run")
+        .parse(argc, argv);
 
     const double ewTargets[] = {10.0, 20.0, 40.0, 80.0, 160.0, 320.0};
     const double sweepPeriods[] = {0.5, 1.0, 2.0, 4.0, 8.0};
@@ -134,11 +140,3 @@ terp::bench::run_ablation(int argc, char **argv)
                 "compromised thread can act, cf. Fig 8's 2us pick.\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_ablation(argc, argv);
-}
-#endif

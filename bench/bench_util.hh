@@ -7,7 +7,6 @@
 #define TERP_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/runtime.hh"
@@ -78,38 +77,6 @@ printBreakdownRow(const std::string &name, const std::string &scheme,
                 name.c_str(), scheme.c_str(), 100 * d.attach,
                 100 * d.detach, 100 * d.rand, 100 * d.cond,
                 100 * d.other, 100 * d.total);
-}
-
-/** Parse an optional numeric CLI override (argv[i] or fallback). */
-inline double
-argOr(int argc, char **argv, int i, double fallback)
-{
-    if (argc > i)
-        return std::atof(argv[i]);
-    return fallback;
-}
-
-/**
- * Extract an optional `--trace=DIR` flag, removing it from argv so
- * positional argOr() parsing is unaffected. Returns the directory
- * (empty when the flag is absent). When set, harnesses should run
- * with cfg.withTrace() and drop one Chrome-trace JSON per run into
- * DIR via dumpTrace().
- */
-inline std::string
-traceDirArg(int &argc, char **argv)
-{
-    std::string dir;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--trace=", 0) == 0)
-            dir = a.substr(8);
-        else
-            argv[w++] = argv[i];
-    }
-    argc = w;
-    return dir;
 }
 
 /** Write one run's Chrome trace as DIR/LABEL.json (if traced). */

@@ -8,12 +8,14 @@
  * 95% of cases the dead time is 2 us or larger, so a 2 us TEW
  * removes ~95% of the data-only attack surface.
  *
- * Usage: fig08_dead_time [objects_per_profile] [--jobs=N]
+ * Usage: fig08_dead_time [objects] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "harness.hh"
 #include "security/dead_time.hh"
@@ -27,9 +29,13 @@ terp::bench::run_fig08(int argc, char **argv)
     // The dead-time figure is a single pooled computation; --jobs is
     // accepted for interface uniformity but there is nothing to fan
     // out.
-    (void)bench::jobsArg(argc, argv);
-    auto objects = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    unsigned jobs = 1;
+    std::uint64_t objects = 400;
+    FlagTable("fig08_dead_time",
+              "Fig 8: distribution of heap-object dead times")
+        .jobs("--jobs", jobs)
+        .count("objects", objects, 1, "objects per allocation profile")
+        .parse(argc, argv);
 
     std::printf("=== Fig 8: distribution of heap-object dead times "
                 "(last write -> free) ===\n");
@@ -74,11 +80,3 @@ terp::bench::run_fig08(int argc, char **argv)
                 analysis.recommendTew(0.95));
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig08(argc, argv);
-}
-#endif

@@ -5,6 +5,7 @@
  * broken into Attach / Detach / Rand / Cond / Other components.
  *
  * Usage: fig09_whisper_overhead [sections] [--trace=DIR] [--jobs=N]
+ *        (--help lists each flag and its range)
  *
  * With --trace=DIR, every protected run also records an event trace
  * and drops DIR/<prog>-<scheme>.json for Perfetto. Tracing charges
@@ -15,6 +16,7 @@
 #include <iterator>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "workloads/whisper.hh"
 
@@ -25,11 +27,16 @@ using namespace terp::bench;
 int
 terp::bench::run_fig09(int argc, char **argv)
 {
-    std::string traceDir = bench::traceDirArg(argc, argv);
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
+    std::string traceDir;
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    FlagTable("fig09_whisper_overhead",
+              "Fig 9: WHISPER overheads vs unprotected runs")
+        .jobs("--jobs", jobs)
+        .count("sections", p.sections, 1, "WHISPER transactions per run")
+        .text("--trace", traceDir, "DIR",
+              "write one Chrome trace per protected run into DIR")
+        .parse(argc, argv);
 
     std::printf("=== Fig 9: WHISPER overheads vs unprotected "
                 "(TEW 2us) ===\n\n");
@@ -95,11 +102,3 @@ terp::bench::run_fig09(int argc, char **argv)
                 "TT(40us) ~6%%, decreasing with larger EW targets.\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig09(argc, argv);
-}
-#endif

@@ -5,12 +5,14 @@
  * targets, with the Attach/Detach/Rand/Cond/Other breakdown.
  *
  * Usage: fig10_spec_overhead [scale] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 #include <iterator>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "workloads/spec.hh"
 
@@ -21,9 +23,14 @@ using namespace terp::bench;
 int
 terp::bench::run_fig10(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 1.0);
+    FlagTable("fig10_spec_overhead",
+              "Fig 10: single-thread SPEC overheads vs unprotected")
+        .jobs("--jobs", jobs)
+        .positive("scale", p.scale, "SPEC iteration scale",
+                  kMaxSpecScale)
+        .parse(argc, argv);
 
     std::printf("=== Fig 10: SPEC single-thread overheads vs "
                 "unprotected ===\n\n");
@@ -83,11 +90,3 @@ terp::bench::run_fig10(int argc, char **argv)
                 "(two PMOs active throughout).\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig10(argc, argv);
-}
-#endif

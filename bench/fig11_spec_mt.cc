@@ -7,12 +7,14 @@
  * "+CB" (full TT with window combining).
  *
  * Usage: fig11_spec_mt [scale] [threads] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 #include <iterator>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "workloads/spec.hh"
 
@@ -23,11 +25,17 @@ using namespace terp::bench;
 int
 terp::bench::run_fig11(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 0.5);
-    p.threads =
-        static_cast<unsigned>(bench::argOr(argc, argv, 2, 4));
+    p.scale = 0.5;
+    p.threads = 4;
+    FlagTable("fig11_spec_mt",
+              "Fig 11: multi-threaded SPEC overheads vs unprotected")
+        .jobs("--jobs", jobs)
+        .positive("scale", p.scale, "SPEC iteration scale",
+                  kMaxSpecScale)
+        .count("threads", p.threads, 1, "simulated threads")
+        .parse(argc, argv);
 
     std::printf("=== Fig 11: %u-thread SPEC overheads vs "
                 "unprotected ===\n\n",
@@ -92,11 +100,3 @@ terp::bench::run_fig11(int argc, char **argv)
                 "falling with larger EW targets.\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_fig11(argc, argv);
-}
-#endif

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -11,22 +10,21 @@
 namespace terp {
 namespace bench {
 
-unsigned
-jobsArg(int &argc, char **argv)
+const std::vector<Figure> &
+figures()
 {
-    unsigned jobs = 1;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--jobs=", 0) == 0) {
-            long v = std::atol(a.c_str() + 7);
-            jobs = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else {
-            argv[w++] = argv[i];
-        }
-    }
-    argc = w;
-    return jobs;
+    static const std::vector<Figure> all = {
+        {"fig08", run_fig08, {"50"}},
+        {"fig09", run_fig09, {"40"}},
+        {"fig10", run_fig10, {"0.1"}},
+        {"fig11", run_fig11, {"0.1"}},
+        {"table3", run_table3, {"40"}},
+        {"table4", run_table4, {"0.1"}},
+        {"table5", run_table5, {"40"}},
+        {"table6", run_table6, {"40", "0.1"}},
+        {"ablation", run_ablation, {"40"}},
+    };
+    return all;
 }
 
 namespace {

@@ -39,10 +39,9 @@
 namespace terp {
 namespace bench {
 
-// Entry points of the figure/table harnesses. Each .cc also builds
-// as a standalone executable with its own main() unless
-// TERP_BENCH_NO_MAIN is defined (the terp_bench_suite library sets
-// it so tools/terp-bench can drive the whole suite in-process).
+// Entry points of the figure/table harnesses. Each parses its own
+// flags (bench/figure_main.cc is the main() of every figure
+// executable; tools/terp-bench calls them in-process).
 int run_fig08(int argc, char **argv);
 int run_fig09(int argc, char **argv);
 int run_fig10(int argc, char **argv);
@@ -53,12 +52,17 @@ int run_table5(int argc, char **argv);
 int run_table6(int argc, char **argv);
 int run_ablation(int argc, char **argv);
 
-/**
- * Extract an optional `--jobs=N` flag, removing it from argv so the
- * positional argOr() parsing is unaffected (same contract as
- * traceDirArg). Returns N clamped to at least 1; default 1.
- */
-unsigned jobsArg(int &argc, char **argv);
+/** One figure/table of the suite. */
+struct Figure
+{
+    const char *name;
+    int (*run)(int, char **);
+    /** Positionals of a --quick run; full runs use the defaults. */
+    std::vector<std::string> quickArgs;
+};
+
+/** The whole suite, in the order terp-bench runs it. */
+const std::vector<Figure> &figures();
 
 /** Snapshot of the process-wide simulation tally. */
 struct SimTally

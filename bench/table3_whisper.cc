@@ -6,12 +6,14 @@
  * exposure window and thread exposure rate.
  *
  * Usage: table3_whisper [sections] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 
 #include "arch/circular_buffer.hh"
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "workloads/whisper.hh"
 
@@ -22,10 +24,13 @@ using namespace terp::bench;
 int
 terp::bench::run_table3(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     WhisperParams p;
-    p.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 400));
+    FlagTable("table3_whisper",
+              "Table 3: WHISPER exposure, MERR (MM) vs TERP (TT)")
+        .jobs("--jobs", jobs)
+        .count("sections", p.sections, 1, "WHISPER transactions per run")
+        .parse(argc, argv);
 
     const std::vector<std::string> &names = whisperNames();
     std::vector<RunResult> mmRuns(names.size());
@@ -104,11 +109,3 @@ terp::bench::run_table3(int argc, char **argv)
                 "EW varies; TEW < 2us; TER << ER.\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table3(argc, argv);
-}
-#endif

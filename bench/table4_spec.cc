@@ -6,11 +6,13 @@
  * exposure rate, TEW and TER.
  *
  * Usage: table4_spec [scale] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "workloads/spec.hh"
 
@@ -21,9 +23,14 @@ using namespace terp::bench;
 int
 terp::bench::run_table4(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     SpecParams p;
-    p.scale = bench::argOr(argc, argv, 1, 1.0);
+    FlagTable("table4_spec",
+              "Table 4: SPEC exposure, MERR (MM) vs TERP (TT)")
+        .jobs("--jobs", jobs)
+        .positive("scale", p.scale, "SPEC iteration scale",
+                  kMaxSpecScale)
+        .parse(argc, argv);
 
     const std::vector<std::string> &names = specNames();
     std::vector<RunResult> mmRuns(names.size());
@@ -91,11 +98,3 @@ terp::bench::run_table4(int argc, char **argv)
                 "lowest).\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table4(argc, argv);
-}
-#endif

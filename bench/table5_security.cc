@@ -8,11 +8,13 @@
  * the thread exposure rate measured from the WHISPER TT runs.
  *
  * Usage: table5_security [sections] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "security/attack_model.hh"
 #include "workloads/whisper.hh"
@@ -23,10 +25,14 @@ using namespace terp::security;
 int
 terp::bench::run_table5(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     workloads::WhisperParams wp;
-    wp.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 200));
+    wp.sections = 200;
+    FlagTable("table5_security",
+              "Table 5: attack success, MERR vs TERP")
+        .jobs("--jobs", jobs)
+        .count("sections", wp.sections, 1, "WHISPER transactions per run")
+        .parse(argc, argv);
 
     // Measure the fraction of an exposure window during which a
     // compromised thread actually holds permission under TERP.
@@ -112,11 +118,3 @@ terp::bench::run_table5(int argc, char **argv)
                 expectedWindowsToBreach(terp));
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table5(argc, argv);
-}
-#endif

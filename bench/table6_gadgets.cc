@@ -8,11 +8,13 @@
  * data-only attack outcome per scheme.
  *
  * Usage: table6_gadgets [sections] [scale] [--jobs=N]
+ *        (--help lists each flag and its range)
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "harness.hh"
 #include "security/dop.hh"
 #include "security/gadget.hh"
@@ -25,12 +27,18 @@ using namespace terp::security;
 int
 terp::bench::run_table6(int argc, char **argv)
 {
-    unsigned jobs = bench::jobsArg(argc, argv);
+    unsigned jobs = 1;
     workloads::WhisperParams wp;
-    wp.sections = static_cast<std::uint64_t>(
-        bench::argOr(argc, argv, 1, 200));
+    wp.sections = 200;
     workloads::SpecParams sp;
-    sp.scale = bench::argOr(argc, argv, 2, 0.5);
+    sp.scale = 0.5;
+    FlagTable("table6_gadgets",
+              "Table 6: data-only gadgets disarmed, MERR vs TERP")
+        .jobs("--jobs", jobs)
+        .count("sections", wp.sections, 1, "WHISPER transactions per run")
+        .positive("scale", sp.scale, "SPEC iteration scale",
+                  workloads::kMaxSpecScale)
+        .parse(argc, argv);
 
     const std::vector<std::string> &wNames =
         workloads::whisperNames();
@@ -145,11 +153,3 @@ terp::bench::run_table6(int argc, char **argv)
                 "window.\n");
     return 0;
 }
-
-#ifndef TERP_BENCH_NO_MAIN
-int
-main(int argc, char **argv)
-{
-    return terp::bench::run_table6(argc, argv);
-}
-#endif

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace terp {
 namespace core {
 
@@ -102,6 +104,32 @@ RuntimeConfig::basicSemantics(Cycles ew)
     c.threadPerms = false;
     c.basicBlocking = true;
     return c;
+}
+
+RuntimeConfig
+RuntimeConfig::named(const std::string &tag, Cycles ew, Cycles tew)
+{
+    if (tag == "unprotected")
+        return unprotected();
+    if (tag == "mm")
+        return mm(ew);
+    if (tag == "tm")
+        return tm(ew, tew);
+    if (tag == "tt")
+        return tt(ew, tew);
+    if (tag == "ttnc")
+        return ttNoCombining(ew, tew);
+    if (tag == "basic")
+        return basicSemantics(ew);
+    TERP_PANIC("unknown scheme tag: ", tag);
+}
+
+const std::vector<std::string> &
+schemeTags()
+{
+    static const std::vector<std::string> tags = {
+        "unprotected", "mm", "tm", "tt", "ttnc", "basic"};
+    return tags;
 }
 
 std::string

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/units.hh"
 
@@ -46,6 +47,9 @@ struct RuntimeConfig;
  * terp-stats CLI spellings; used as the `scheme` metrics label.
  */
 const char *schemeTag(const RuntimeConfig &cfg);
+
+/** Every tag schemeTag() returns, in command-line help order. */
+const std::vector<std::string> &schemeTags();
 
 /** Which insertion points drive attach/detach. */
 enum class Insertion
@@ -168,6 +172,13 @@ struct RuntimeConfig
                                        Cycles tew = target::defaultTew);
     /** Automatic insertion under Basic semantics (ablation). */
     static RuntimeConfig basicSemantics(Cycles ew = target::defaultEw);
+    /**
+     * The scheme a schemeTags() entry names, with the targets that
+     * scheme takes; panics on any other tag.
+     */
+    static RuntimeConfig named(const std::string &tag,
+                               Cycles ew = target::defaultEw,
+                               Cycles tew = target::defaultTew);
 
     std::string describe() const;
 };

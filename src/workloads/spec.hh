@@ -48,10 +48,16 @@ const std::vector<std::string> &specNames();
 unsigned specPmoCount(const std::string &name);
 
 /** Run parameters. */
+/**
+ * The largest scale every kernel's layout holds: mcf's 1 MiB node
+ * PMO fits 16384 64-byte nodes, the count scale 1 already walks.
+ */
+constexpr double kMaxSpecScale = 1.0;
+
 struct SpecParams
 {
     unsigned threads = 1;
-    double scale = 1.0; //!< shrinks/grows iteration counts
+    double scale = 1.0; //!< shrinks iteration counts; in (0, kMaxSpecScale]
     std::uint64_t seed = 7;
     bool runPass = true; //!< apply the insertion pass
 };

@@ -6,7 +6,7 @@
  *    reduced Fig 11 matrix at --jobs=8 produces byte-identical
  *    stdout (and therefore identical simulated-cycle results) to
  *    --jobs=1, where --jobs=1 is the original serial code path;
- *  - --jobs flag extraction and the simulation tally;
+ *  - the simulation tally;
  *  - ParallelRunner ordering, exception propagation, and a seeded
  *    differential-fuzz pass so the runtime structures the optimized
  *    benches exercise stay pinned to the Section-IV oracle.
@@ -81,27 +81,6 @@ TEST(BenchHarness, Fig11ParallelMatchesSerialByteForByte)
     EXPECT_NE(serial.find("=== Fig 11"), std::string::npos);
     EXPECT_NE(serial.find("avg total overhead"), std::string::npos);
     EXPECT_EQ(serial, parallel);
-}
-
-TEST(BenchHarness, JobsArgStripsFlagAndClamps)
-{
-    std::vector<std::string> args = {"prog", "0.5", "--jobs=7", "4"};
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    int argc = static_cast<int>(argv.size());
-    EXPECT_EQ(bench::jobsArg(argc, argv.data()), 7u);
-    ASSERT_EQ(argc, 3);
-    EXPECT_STREQ(argv[1], "0.5");
-    EXPECT_STREQ(argv[2], "4");
-
-    std::vector<std::string> none = {"prog", "--jobs=0"};
-    std::vector<char *> nargv;
-    for (std::string &a : none)
-        nargv.push_back(a.data());
-    int nargc = static_cast<int>(nargv.size());
-    EXPECT_EQ(bench::jobsArg(nargc, nargv.data()), 1u);
-    EXPECT_EQ(nargc, 1);
 }
 
 TEST(BenchHarness, TallyCountsSimulations)

@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for src/common: units, logging, RNG, statistics, strict
- * flag parsing and JSON escaping.
+ * flag parsing, the flag table, the golden helper and JSON escaping.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <string>
+#include <unistd.h>
+#include <vector>
 
 #include "common/cli.hh"
+#include "common/golden.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -269,6 +275,198 @@ TEST(Cli, ParsePositiveRejectsZeroNegativeAndNonFinite)
     EXPECT_EQ(parsePositive("2.5"), 2.5);
     for (const char *bad : {"", "0", "-1", "nan", "inf", "1e", "5us"})
         EXPECT_FALSE(parsePositive(bad)) << bad;
+}
+
+TEST(Cli, ParseFractionTakesTheClosedUnitInterval)
+{
+    EXPECT_EQ(parseFraction("0"), 0.0);
+    EXPECT_EQ(parseFraction("1"), 1.0);
+    EXPECT_EQ(parsePositive("1", 1.0), 1.0);
+    for (const char *bad : {"", "-0.1", "1.01", "2", "nan"})
+        EXPECT_FALSE(parseFraction(bad)) << bad;
+    EXPECT_FALSE(parsePositive("1.01", 1.0));
+}
+
+namespace {
+
+/** parse() over @p words, as if they followed the program name. */
+void
+parseWords(FlagTable &flags, std::vector<std::string> words)
+{
+    words.insert(words.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    argv.push_back(nullptr);
+    flags.parse(static_cast<int>(words.size()), argv.data());
+}
+
+/** The test flag table: every kind, bound to @p v. */
+struct Bound
+{
+    unsigned n = 3;
+    std::uint64_t big = 0;
+    double x = 1.5, f = 0.25;
+    std::string path, scheme = "tt", first;
+    bool on = false;
+
+    FlagTable
+    table()
+    {
+        FlagTable t("prog", "test table");
+        t.count("first-n", n, 1, "a positional count", 10)
+            .count("--big", big, 0, "a count")
+            .positive("--x", x, "a positive number", 2.0)
+            .fraction("--f", f, "a fraction")
+            .text("--path", path, "FILE", "a path")
+            .choice("--scheme", scheme, {"mm", "tt"}, "a choice")
+            .toggle("--on", on, "a toggle");
+        return t;
+    }
+};
+
+} // namespace
+
+TEST(Cli, FlagTableTakesBothSpellings)
+{
+    Bound b;
+    FlagTable t = b.table();
+    parseWords(t, {"--big=7", "--path", "a b", "--scheme", "mm", "--x=2",
+                   "--f", "1", "--on"});
+    EXPECT_EQ(b.big, 7u);
+    EXPECT_EQ(b.path, "a b");
+    EXPECT_EQ(b.scheme, "mm");
+    EXPECT_EQ(b.x, 2.0);
+    EXPECT_EQ(b.f, 1.0);
+    EXPECT_TRUE(b.on);
+    EXPECT_EQ(b.n, 3u); // untouched positional keeps its default
+}
+
+TEST(Cli, FlagTableRangeEdgesAndHex)
+{
+    for (const char *edge : {"1", "10", "0xa"}) {
+        Bound b;
+        FlagTable t = b.table();
+        parseWords(t, {edge});
+        EXPECT_EQ(b.n, std::stoul(edge, nullptr, 0)) << edge;
+    }
+    Bound b;
+    FlagTable t = b.table();
+    parseWords(t, {"--big=0x10"});
+    EXPECT_EQ(b.big, 16u);
+}
+
+TEST(Cli, FlagTableRejectsBadInputWithExitTwo)
+{
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"0"}, "first-n needs an integer in \\[1, 10\\], got '0'"},
+            {{"11"}, "first-n needs an integer in \\[1, 10\\], got '11'"},
+            {{"-1"}, "first-n needs an integer in \\[1, 10\\], got '-1'"},
+            {{"--big"}, "--big needs a value"},
+            {{"--big=-1"}, "--big needs an integer"},
+            {{"--x=2.5"}, "--x needs a number in \\(0, 2\\]"},
+            {{"--f=1.5"}, "--f needs a number in \\[0, 1\\]"},
+            {{"--scheme=tm"}, "--scheme needs one of mm\\|tt, got 'tm'"},
+            {{"--on=1"}, "--on takes no value"},
+            {{"--bogus"}, "unknown option '--bogus'"},
+            {{"1", "2"}, "unexpected argument '2'"},
+        };
+    for (const auto &[words, message] : cases) {
+        Bound b;
+        FlagTable t = b.table();
+        EXPECT_EXIT(parseWords(t, words), testing::ExitedWithCode(2),
+                    "^prog: " + message)
+            << words[0];
+    }
+}
+
+TEST(Cli, FlagTableHelpNamesEveryFlagAndExitsZero)
+{
+    for (const char *name : {"first-n", "--big=N", "--x=X", "--f=F",
+                             "--path=FILE", "--scheme=NAME", "--on",
+                             "--help"}) {
+        Bound b;
+        FlagTable t = b.table();
+        EXPECT_EXIT(
+            {
+                // --help prints to stdout; the matcher reads stderr.
+                dup2(STDERR_FILENO, STDOUT_FILENO);
+                parseWords(t, {"--help"});
+            },
+            testing::ExitedWithCode(0), name);
+    }
+}
+
+TEST(Cli, FlagTableAppliesInDeclarationOrder)
+{
+    // A reset declared first never overwrites a value given before
+    // it on the command line.
+    unsigned shards = 2;
+    std::vector<std::string> rest;
+    FlagTable t("prog", "order");
+    t.toggle("--reset", [&] { shards = 1; }, "reset")
+        .count("--shards", shards, 1, "shards")
+        .rest(rest, "ARG", "the rest");
+    parseWords(t, {"--shards=8", "a", "--reset", "b"});
+    EXPECT_EQ(shards, 8u);
+    EXPECT_EQ(rest, (std::vector<std::string>{"a", "b"}));
+}
+
+// ------------------------------------------------------------ golden
+
+namespace {
+
+const std::string kQuickGolden =
+    std::string(TERP_SOURCE_DIR) + "/bench/golden/quick.txt";
+
+std::string
+tempPath(const char *name)
+{
+    return testing::TempDir() + name;
+}
+
+} // namespace
+
+TEST(Golden, MatchingTextPassesAndWriteRoundTrips)
+{
+    std::optional<std::string> text = readFile(kQuickGolden);
+    ASSERT_TRUE(text);
+    EXPECT_EQ(golden("t", *text, kQuickGolden, ""), 0);
+    const std::string copy = tempPath("golden_copy.txt");
+    EXPECT_EQ(golden("t", *text, copy, copy), 0);
+    EXPECT_EQ(readFile(copy), text);
+    std::remove(copy.c_str());
+}
+
+TEST(Golden, OneNumberEditIsDriftNamingTheLine)
+{
+    std::optional<std::string> text = readFile(kQuickGolden);
+    ASSERT_TRUE(text);
+    std::string edited = *text;
+    const std::string::size_type at = edited.find("fig10 30 ");
+    ASSERT_NE(at, std::string::npos);
+    edited[at + 6] = '4'; // fig10 sims 30 -> 40
+    const std::string copy = tempPath("golden_edited.txt");
+    std::ofstream(copy) << edited;
+
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(golden("t", *text, copy, ""), 1);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DRIFT"), std::string::npos) << err;
+    EXPECT_NE(err.find("golden: fig10 40 283037002"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("actual: fig10 30 283037002"), std::string::npos)
+        << err;
+    std::remove(copy.c_str());
+}
+
+TEST(Golden, UnreadableOrUnwritableFileIsExitTwo)
+{
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(golden("t", "x\n", tempPath("no/such/golden.txt"), ""), 2);
+    EXPECT_EQ(golden("t", "x\n", "", tempPath("no/such/out.txt")), 2);
+    testing::internal::GetCapturedStderr();
 }
 
 TEST(Json, EscapeLeavesNoRawControlByte)

@@ -54,6 +54,8 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/golden.hh"
 #include "harness.hh"
 #include "history.hh"
 #include "metrics/export.hh"
@@ -61,26 +63,6 @@
 using namespace terp;
 
 namespace {
-
-struct FigSpec
-{
-    const char *name;
-    int (*fn)(int, char **);
-    // Positional args for --quick; full runs use the defaults.
-    std::vector<std::string> quickArgs;
-};
-
-const FigSpec kFigures[] = {
-    {"fig08", bench::run_fig08, {"50"}},
-    {"fig09", bench::run_fig09, {"40"}},
-    {"fig10", bench::run_fig10, {"0.1"}},
-    {"fig11", bench::run_fig11, {"0.1"}},
-    {"table3", bench::run_table3, {"40"}},
-    {"table4", bench::run_table4, {"0.1"}},
-    {"table5", bench::run_table5, {"40"}},
-    {"table6", bench::run_table6, {"40", "0.1"}},
-    {"ablation", bench::run_ablation, {"40"}},
-};
 
 struct FigResult
 {
@@ -137,17 +119,6 @@ runSilenced(int (*fn)(int, char **), int argc, char **argv)
     return rc;
 }
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-bench [--quick] [--jobs=N] [--repeat=N]"
-                 " [--out=FILE] [--golden=FILE]\n"
-                 "                  [--write-golden=FILE]"
-                 " [--metrics-prom=FILE] [--history=FILE]\n");
-    return 2;
-}
-
 } // namespace
 
 int
@@ -162,33 +133,24 @@ main(int argc, char **argv)
     std::string promPath;
     std::string historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
-            quick = true;
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            long v = std::atol(a.c_str() + 7);
-            jobs = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--repeat=", 0) == 0) {
-            long v = std::atol(a.c_str() + 9);
-            repeat = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--out=", 0) == 0) {
-            outPath = a.substr(6);
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--metrics-prom=", 0) == 0) {
-            promPath = a.substr(15);
-        } else if (a.rfind("--history=", 0) == 0) {
-            historyPath = a.substr(10);
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
-    }
+    FlagTable("terp-bench",
+              "Run the whole figure/table suite in-process and write a "
+              "performance summary")
+        .toggle("--quick", quick, "reduced workload sizes (CI smoke run)")
+        .jobs("--jobs", jobs)
+        .count("--repeat", repeat, 1,
+               "passes; wall clock is the best of them")
+        .text("--out", outPath, "FILE", "JSON summary")
+        .text("--golden", goldenPath, "FILE",
+              "fail (exit 1) if per-figure sims or simulated cycles "
+              "differ from FILE")
+        .text("--write-golden", writeGoldenPath, "FILE",
+              "write the per-figure summary to FILE")
+        .text("--metrics-prom", promPath, "FILE",
+              "also export the aggregated metrics (Prometheus text)")
+        .text("--history", historyPath, "FILE",
+              "append this run to the bench history (JSON lines)")
+        .parse(argc, argv);
 
     const std::string jobsFlag = "--jobs=" + std::to_string(jobs);
     std::vector<FigResult> results;
@@ -207,9 +169,8 @@ main(int argc, char **argv)
             std::fprintf(stderr, "terp-bench: pass %u/%u\n", pass + 1,
                          repeat);
 
-        for (std::size_t fi = 0;
-             fi < sizeof(kFigures) / sizeof(kFigures[0]); ++fi) {
-            const FigSpec &fig = kFigures[fi];
+        for (std::size_t fi = 0; fi < bench::figures().size(); ++fi) {
+            const bench::Figure &fig = bench::figures()[fi];
             // Rebuild a mutable argv per figure: name, positionals,
             // jobs.
             std::vector<std::string> args;
@@ -226,7 +187,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "terp-bench: %-8s ...", fig.name);
             const bench::SimTally before = bench::tallySnapshot();
             const auto t0 = std::chrono::steady_clock::now();
-            runSilenced(fig.fn, static_cast<int>(args.size()),
+            runSilenced(fig.run, static_cast<int>(args.size()),
                         cargv.data());
             const auto t1 = std::chrono::steady_clock::now();
             const bench::SimTally after = bench::tallySnapshot();
@@ -354,76 +315,10 @@ main(int argc, char **argv)
     }
 
     // ---- golden summary (simulated work only; no wall-clock) ------
-    if (!writeGoldenPath.empty()) {
-        FILE *f = std::fopen(writeGoldenPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "terp-bench: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        std::fprintf(f, "# terp-bench golden summary: "
-                        "<figure> <sims> <sim_cycles>\n");
-        for (const FigResult &r : results)
-            std::fprintf(f, "%s %llu %llu\n", r.name.c_str(),
-                         (unsigned long long)r.sims,
-                         (unsigned long long)r.simCycles);
-        std::fclose(f);
-        std::fprintf(stderr, "terp-bench: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
-    if (!goldenPath.empty()) {
-        FILE *f = std::fopen(goldenPath.c_str(), "r");
-        if (!f) {
-            std::fprintf(stderr, "terp-bench: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        bool drift = false;
-        std::size_t seen = 0;
-        char line[256];
-        while (std::fgets(line, sizeof(line), f)) {
-            if (line[0] == '#' || line[0] == '\n')
-                continue;
-            char name[64];
-            unsigned long long sims = 0, cycles = 0;
-            if (std::sscanf(line, "%63s %llu %llu", name, &sims,
-                            &cycles) != 3)
-                continue;
-            ++seen;
-            const FigResult *match = nullptr;
-            for (const FigResult &r : results)
-                if (r.name == name)
-                    match = &r;
-            if (!match) {
-                std::fprintf(stderr,
-                             "terp-bench: golden names unknown "
-                             "figure '%s'\n",
-                             name);
-                drift = true;
-            } else if (match->sims != sims ||
-                       match->simCycles != cycles) {
-                std::fprintf(
-                    stderr,
-                    "terp-bench: DRIFT in %s: sims %llu -> %llu, "
-                    "sim_cycles %llu -> %llu\n",
-                    name, sims, (unsigned long long)match->sims,
-                    cycles, (unsigned long long)match->simCycles);
-                drift = true;
-            }
-        }
-        std::fclose(f);
-        if (seen != results.size()) {
-            std::fprintf(stderr,
-                         "terp-bench: golden covers %zu of %zu "
-                         "figures\n",
-                         seen, results.size());
-            drift = true;
-        }
-        if (drift)
-            return 1;
-        std::fprintf(stderr,
-                     "terp-bench: simulated cycles match golden\n");
-    }
-    return 0;
+    std::string summary =
+        "# terp-bench golden summary: <figure> <sims> <sim_cycles>\n";
+    for (const FigResult &r : results)
+        summary += r.name + " " + std::to_string(r.sims) + " " +
+                  std::to_string(r.simCycles) + "\n";
+    return golden("terp-bench", summary, goldenPath, writeGoldenPath);
 }

@@ -32,10 +32,8 @@
  * violation, 2 on usage errors.
  */
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -45,23 +43,6 @@
 #include "common/cli.hh"
 
 using namespace terp;
-
-namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-crash [--scheme all|mm|tm|tt|ttnc|basic]\n"
-        "                  [--workload all|bank|hashmap|txmix|\n"
-        "                   txpair|schedule]\n"
-        "                  [--seed N] [--seeds N] [--txns N]\n"
-        "                  [--events N] [--ew US] [--json]\n");
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -73,49 +54,24 @@ main(int argc, char **argv)
     double ewUs = 5.0;
     bool json = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
-            return unsignedFlag("terp-crash", a, val(), lo, hi);
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--workload") {
-            workload = val();
-        } else if (a == "--seed") {
-            opt.seed = count(0, UINT64_MAX);
-        } else if (a == "--seeds") {
-            seeds = static_cast<unsigned>(count(1, UINT_MAX));
-        } else if (a == "--txns") {
-            opt.txns = static_cast<unsigned>(count(0, UINT_MAX));
-        } else if (a == "--events") {
-            opt.events = static_cast<unsigned>(count(1, UINT_MAX));
-        } else if (a == "--ew") {
-            ewUs = positiveFlag("terp-crash", a, val());
-        } else if (a == "--json") {
-            json = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
-    }
+    std::vector<std::string> workloadNames = {"all"};
+    for (const check::RecoveryWorkload &wl : check::recoveryWorkloads())
+        workloadNames.push_back(wl.name);
+    std::vector<std::string> schemeNames = check::allSchemes();
+    schemeNames.insert(schemeNames.begin(), "all");
+    FlagTable("terp-crash",
+              "Crash-point fault injection and recovery validation")
+        .choice("--scheme", scheme, schemeNames, "scheme to run")
+        .choice("--workload", workload, workloadNames,
+                "recovery workload to run")
+        .count("--seed", opt.seed, 0, "first seed")
+        .count("--seeds", seeds, 1, "seeds per cell")
+        .count("--txns", opt.txns, 0,
+               "transactions per run (hashmap's heap holds at most 895)")
+        .count("--events", opt.events, 1, "schedule length in ops")
+        .positive("--ew", ewUs, "EW target in microseconds")
+        .toggle("--json", json, "one JSON summary object per cell")
+        .parse(argc, argv);
 
     opt.ewTarget = usToCycles(ewUs);
     std::vector<std::string> schemes =

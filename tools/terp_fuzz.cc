@@ -35,30 +35,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "check/fuzzer.hh"
+#include "common/cli.hh"
 
 using namespace terp;
-
-namespace {
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-fuzz [--scheme all|mm|tm|tt|ttnc|basic]"
-                 " [--seeds N]\n"
-                 "                 [--first-seed N] [--events N] "
-                 "[--threads N] [--pmos N]\n"
-                 "                 [--ew US] [--crash] [--txn] "
-                 "[--shrink|--no-shrink]\n");
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -68,57 +50,30 @@ main(int argc, char **argv)
     std::string scheme = "all";
     double ewUs = 5.0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        // Accept both "--flag value" and "--flag=value".
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--seeds") {
-            opt.seeds = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
-        } else if (a == "--first-seed") {
-            opt.firstSeed = std::strtoull(val().c_str(), nullptr, 0);
-        } else if (a == "--events") {
-            opt.gen.events = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
-        } else if (a == "--threads") {
-            opt.gen.threads = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
-        } else if (a == "--pmos") {
-            opt.gen.pmos = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 0));
-        } else if (a == "--ew") {
-            ewUs = std::strtod(val().c_str(), nullptr);
-        } else if (a == "--crash") {
-            opt.gen.persistOps = true;
-        } else if (a == "--txn") {
-            opt.gen.txnOps = true;
-        } else if (a == "--shrink") {
-            opt.shrink = true;
-        } else if (a == "--no-shrink") {
-            opt.shrink = false;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
-    }
+    std::vector<std::string> schemeNames = check::allSchemes();
+    schemeNames.insert(schemeNames.begin(), "all");
+    FlagTable("terp-fuzz",
+              "Differential fuzzing of the runtime against the "
+              "specification semantics")
+        .choice("--scheme", scheme, schemeNames, "scheme to fuzz")
+        .count("--seeds", opt.seeds, 1, "seeds per scheme")
+        .count("--first-seed", opt.firstSeed, 0,
+               "first seed (replay a report with --seeds 1)")
+        .count("--events", opt.gen.events, 1, "events per schedule")
+        .count("--threads", opt.gen.threads, 1, "threads per schedule")
+        .count("--pmos", opt.gen.pmos, 1, "PMOs per schedule")
+        .positive("--ew", ewUs,
+                  "EW target in microseconds (the generator's floor is 5)")
+        .toggle("--crash", opt.gen.persistOps,
+                "mix undo-log transactions and crash/recover steps in")
+        .toggle("--txn", opt.gen.txnOps,
+                "mix TxManager transactions in, checked against the "
+                "transaction spec oracle")
+        .toggle("--shrink", [&] { opt.shrink = true; },
+                "minimize divergent schedules (the default)")
+        .toggle("--no-shrink", [&] { opt.shrink = false; },
+                "report the raw divergent schedule")
+        .parse(argc, argv);
 
     opt.gen.ewTarget = usToCycles(ewUs);
     if (scheme != "all")

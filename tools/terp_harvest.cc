@@ -39,18 +39,17 @@
  */
 
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/fuzzer.hh"
+#include "check/recovery_engine.hh"
 #include "common/cli.hh"
+#include "common/golden.hh"
 #include "energy/harvest.hh"
 #include "history.hh"
 
@@ -64,20 +63,6 @@ struct CellResult
     std::uint64_t capUnits = 0;
     energy::HarvestResult res;
 };
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-harvest [--scheme=all|mm|tm|tt|ttnc|basic]\n"
-        "                    [--workload=bank|txmix|txpair]\n"
-        "                    [--caps=LIST] [--cycles=N] [--seed=N]\n"
-        "                    [--ew=US] [--audit=N] [--json]\n"
-        "                    [--golden=FILE] [--write-golden=FILE]\n"
-        "                    [--history=PATH]\n");
-    return 2;
-}
 
 /**
  * The --caps list, or an empty vector when an entry is not a whole
@@ -152,66 +137,39 @@ main(int argc, char **argv)
     bool json = false;
     std::string goldenPath, writeGoldenPath, historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::string inl;
-        std::size_t eq = a.find('=');
-        if (eq != std::string::npos) {
-            inl = a.substr(eq + 1);
-            a = a.substr(0, eq);
-        }
-        auto val = [&]() -> std::string {
-            if (!inl.empty())
-                return inl;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
-            return unsignedFlag("terp-harvest", a, val(), lo, hi);
-        };
-        if (a == "--scheme") {
-            scheme = val();
-        } else if (a == "--workload") {
-            workload = val();
-        } else if (a == "--caps") {
-            capsArg = val();
-        } else if (a == "--cycles") {
-            cycles = static_cast<unsigned>(count(1, UINT_MAX));
-        } else if (a == "--seed") {
-            seed = count(0, UINT64_MAX);
-        } else if (a == "--ew") {
-            ewUs = positiveFlag("terp-harvest", a, val());
-        } else if (a == "--audit") {
-            audit = static_cast<unsigned>(count(0, UINT_MAX));
-        } else if (a == "--json") {
-            json = true;
-        } else if (a == "--golden") {
-            goldenPath = val();
-        } else if (a == "--write-golden") {
-            writeGoldenPath = val();
-        } else if (a == "--history") {
-            historyPath = val();
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
-    }
+    std::vector<std::string> workloadNames;
+    for (const check::RecoveryWorkload &wl : check::recoveryWorkloads())
+        workloadNames.push_back(wl.name);
+    std::vector<std::string> schemeNames = check::allSchemes();
+    schemeNames.insert(schemeNames.begin(), "all");
+    FlagTable flags("terp-harvest",
+                    "Race-to-expiry intermittent-power driver");
+    flags.choice("--scheme", scheme, schemeNames, "scheme to run")
+        .choice("--workload", workload, workloadNames,
+                "recovery workload (bounded and finite ones are refused)")
+        .text("--caps", capsArg, "LIST",
+              "comma-separated capacitor sizes in energy units, each "
+              "above the fail threshold")
+        .count("--cycles", cycles, 1, "power cycles per cell")
+        .count("--seed", seed, 0, "workload seed")
+        .positive("--ew", ewUs, "EW target in microseconds")
+        .count("--audit", audit, 0,
+               "trace-audit stride in power cycles (0 disables)")
+        .toggle("--json", json, "one JSON object per cell")
+        .text("--golden", goldenPath, "FILE",
+              "fail (exit 1) if the per-cell summary differs from FILE")
+        .text("--write-golden", writeGoldenPath, "FILE",
+              "write the per-cell summary to FILE")
+        .text("--history", historyPath, "FILE",
+              "append one throughput record to the bench history")
+        .parse(argc, argv);
 
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
-    if (caps.empty()) {
-        std::fprintf(stderr,
-                     "terp-harvest: --caps needs comma-separated "
-                     "integers above %llu, got '%s'\n",
-                     (unsigned long long)energy::CapacitorConfig{}
-                         .failThresholdUnits,
-                     capsArg.c_str());
-        return 2;
-    }
+    if (caps.empty())
+        flags.fail("--caps needs comma-separated integers above " +
+                   std::to_string(energy::CapacitorConfig{}
+                                      .failThresholdUnits) +
+                   ", got '" + capsArg + "'");
     std::vector<std::string> schemes =
         scheme == "all" ? check::allSchemes()
                         : std::vector<std::string>{scheme};
@@ -330,92 +288,18 @@ main(int argc, char **argv)
     }
 
     // ---- golden summary (simulated work only; no wall clock) ------
-    if (!writeGoldenPath.empty()) {
-        FILE *f = std::fopen(writeGoldenPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "terp-harvest: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        std::fprintf(f,
-                     "# terp-harvest golden summary: <scheme> "
-                     "<workload> <cap> <power_cycles> <committed> "
-                     "<interrupted> <sim_cycles>\n");
-        for (const CellResult &c : cells)
-            std::fprintf(f, "%s %s %llu %u %llu %llu %llu\n",
-                         c.scheme.c_str(), workload.c_str(),
-                         (unsigned long long)c.capUnits,
-                         c.res.powerCycles,
-                         (unsigned long long)c.res.committed,
-                         (unsigned long long)c.res.interrupted,
-                         (unsigned long long)c.res.simCycles);
-        std::fclose(f);
-        std::fprintf(stderr, "terp-harvest: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
-    if (!goldenPath.empty()) {
-        FILE *f = std::fopen(goldenPath.c_str(), "r");
-        if (!f) {
-            std::fprintf(stderr,
-                         "terp-harvest: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        bool drift = false;
-        std::size_t seen = 0;
-        char line[256];
-        while (std::fgets(line, sizeof(line), f)) {
-            if (line[0] == '#' || line[0] == '\n')
-                continue;
-            char sc[64], wl[64];
-            unsigned long long cap = 0, pc = 0, com = 0, intr = 0,
-                               sim = 0;
-            if (std::sscanf(line, "%63s %63s %llu %llu %llu %llu %llu",
-                            sc, wl, &cap, &pc, &com, &intr,
-                            &sim) != 7)
-                continue;
-            ++seen;
-            const CellResult *match = nullptr;
-            for (const CellResult &c : cells)
-                if (c.scheme == sc && workload == wl &&
-                    c.capUnits == cap)
-                    match = &c;
-            if (!match) {
-                std::fprintf(stderr,
-                             "terp-harvest: golden names unknown "
-                             "cell '%s %s %llu'\n",
-                             sc, wl, cap);
-                drift = true;
-            } else if (match->res.powerCycles != pc ||
-                       match->res.committed != com ||
-                       match->res.interrupted != intr ||
-                       match->res.simCycles != sim) {
-                std::fprintf(
-                    stderr,
-                    "terp-harvest: DRIFT in %s %llu: cycles "
-                    "%llu -> %u, committed %llu -> %llu, "
-                    "interrupted %llu -> %llu, sim_cycles "
-                    "%llu -> %llu\n",
-                    sc, cap, pc, match->res.powerCycles, com,
-                    (unsigned long long)match->res.committed, intr,
-                    (unsigned long long)match->res.interrupted, sim,
-                    (unsigned long long)match->res.simCycles);
-                drift = true;
-            }
-        }
-        std::fclose(f);
-        if (seen != cells.size()) {
-            std::fprintf(stderr,
-                         "terp-harvest: golden covers %zu of %zu "
-                         "cells\n",
-                         seen, cells.size());
-            drift = true;
-        }
-        if (drift)
-            return 1;
-        std::fprintf(stderr,
-                     "terp-harvest: simulated cycles match golden\n");
-    }
+    std::string summary = "# terp-harvest golden summary: <scheme> "
+                          "<workload> <cap> <power_cycles> <committed> "
+                          "<interrupted> <sim_cycles>\n";
+    for (const CellResult &c : cells)
+        summary += c.scheme + " " + workload + " " +
+                   std::to_string(c.capUnits) + " " +
+                   std::to_string(c.res.powerCycles) + " " +
+                   std::to_string(c.res.committed) + " " +
+                   std::to_string(c.res.interrupted) + " " +
+                   std::to_string(c.res.simCycles) + "\n";
+    if (int rc = golden("terp-harvest", summary, goldenPath,
+                        writeGoldenPath))
+        return rc;
     return anyViolation ? 1 : 0;
 }

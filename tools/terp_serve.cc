@@ -58,11 +58,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/cli.hh"
+#include "common/golden.hh"
 #include "history.hh"
 #include "metrics/export.hh"
 #include "serve/report.hh"
@@ -71,45 +71,6 @@
 using namespace terp;
 
 namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-serve [--quick] [--seed=S] [--shards=K]"
-        " [--workers=N]\n"
-        "                  [--sessions=C] [--requests=R]"
-        " [--scheme=NAME] [--slow=FRAC]\n"
-        "                  [--ew-budget=F]\n"
-        "                  [--txn-writes=N]\n"
-        "                  [--queue-cap=Q] [--out=FILE]"
-        " [--golden=FILE]\n"
-        "                  [--write-golden=FILE]"
-        " [--metrics-prom=FILE]\n"
-        "                  [--history=FILE] [--quiet]\n");
-    return 2;
-}
-
-bool
-applyScheme(serve::ServeConfig &cfg, const std::string &name)
-{
-    if (name == "tt")
-        cfg.runtime = core::RuntimeConfig::tt();
-    else if (name == "tm")
-        cfg.runtime = core::RuntimeConfig::tm();
-    else if (name == "mm")
-        cfg.runtime = core::RuntimeConfig::mm();
-    else if (name == "ttnc")
-        cfg.runtime = core::RuntimeConfig::ttNoCombining();
-    else if (name == "basic")
-        cfg.runtime = core::RuntimeConfig::basicSemantics();
-    else if (name == "unprotected")
-        cfg.runtime = core::RuntimeConfig::unprotected();
-    else
-        return false;
-    return true;
-}
 
 std::uint64_t
 fleetP99(const serve::FleetResult &res, const char *name)
@@ -131,67 +92,43 @@ main(int argc, char **argv)
     std::string outPath = "SERVE_terp.json";
     std::string goldenPath, writeGoldenPath, promPath, historyPath;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
-            cfg = serve::ServeConfig::quick();
-        } else if (a.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-        } else if (a.rfind("--shards=", 0) == 0) {
-            long v = std::atol(a.c_str() + 9);
-            if (v < 1)
-                return usage();
-            cfg.shards = static_cast<unsigned>(v);
-        } else if (a.rfind("--workers=", 0) == 0) {
-            long v = std::atol(a.c_str() + 10);
-            workers = v > 1 ? static_cast<unsigned>(v) : 1;
-        } else if (a.rfind("--sessions=", 0) == 0) {
-            cfg.sessions =
-                static_cast<unsigned>(std::atol(a.c_str() + 11));
-        } else if (a.rfind("--requests=", 0) == 0) {
-            cfg.requestsPerSession =
-                static_cast<unsigned>(std::atol(a.c_str() + 11));
-        } else if (a.rfind("--scheme=", 0) == 0) {
-            if (!applyScheme(cfg, a.substr(9))) {
-                std::fprintf(stderr, "unknown scheme '%s'\n",
-                             a.c_str() + 9);
-                return usage();
-            }
-        } else if (a.rfind("--slow=", 0) == 0) {
-            cfg.slowFraction = std::atof(a.c_str() + 7);
-        } else if (a.rfind("--ew-budget=", 0) == 0) {
-            cfg.tenantEwBudget = std::atof(a.c_str() + 12);
-            if (cfg.tenantEwBudget < 0)
-                return usage();
-        } else if (a.rfind("--txn-writes=", 0) == 0) {
-            cfg.txnWrites =
-                static_cast<unsigned>(std::atol(a.c_str() + 13));
-            if (cfg.txnWrites > 0)
-                cfg.persistence = true;
-        } else if (a.rfind("--queue-cap=", 0) == 0) {
-            long v = std::atol(a.c_str() + 12);
-            if (v < 1)
-                return usage();
-            cfg.queueCapacity = static_cast<unsigned>(v);
-        } else if (a.rfind("--out=", 0) == 0) {
-            outPath = a.substr(6);
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--metrics-prom=", 0) == 0) {
-            promPath = a.substr(15);
-        } else if (a.rfind("--history=", 0) == 0) {
-            historyPath = a.substr(10);
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        }
-    }
+    std::string scheme = "tt";
+    // --quick is declared first: it picks the base configuration the
+    // other flags then adjust, wherever it appears.
+    FlagTable("terp-serve", "A long-lived multi-tenant PMO server "
+                            "simulation")
+        .toggle("--quick", [&] { cfg = serve::ServeConfig::quick(); },
+                "small CI configuration (the serve golden's)")
+        .count("--seed", cfg.seed, 0, "master seed")
+        .count("--shards", cfg.shards, 1, "runtime domains")
+        .jobs("--workers", workers)
+        .count("--sessions", cfg.sessions, 1, "client sessions")
+        .count("--requests", cfg.requestsPerSession, 1,
+               "requests per session")
+        .choice("--scheme", scheme, core::schemeTags(),
+                "protection scheme of every shard")
+        .fraction("--slow", cfg.slowFraction, "slow-client fraction")
+        .fraction("--ew-budget", cfg.tenantEwBudget,
+                  "per-tenant exposure budget for SLO burn-rate "
+                  "alerting, as a fraction of wall clock (0 = off)")
+        .count("--txn-writes", cfg.txnWrites, 0,
+               "writes of one durable transaction ending every request "
+               "(0 = none)")
+        .count("--queue-cap", cfg.queueCapacity, 1,
+               "bounded per-shard queue")
+        .text("--out", outPath, "FILE", "JSON results")
+        .text("--golden", goldenPath, "FILE",
+              "fail (exit 1) if the report differs from FILE")
+        .text("--write-golden", writeGoldenPath, "FILE",
+              "write the report to FILE")
+        .text("--metrics-prom", promPath, "FILE",
+              "fleet metrics, Prometheus text format")
+        .text("--history", historyPath, "FILE",
+              "append req/s and p99 EW/latency to the bench history")
+        .toggle("--quiet", quiet, "suppress the report on stdout")
+        .parse(argc, argv);
+    cfg.runtime = core::RuntimeConfig::named(scheme);
+    cfg.persistence = cfg.txnWrites > 0;
 
     std::fprintf(stderr,
                  "terp-serve: %u shard(s), %u session(s), %u host "
@@ -258,35 +195,5 @@ main(int argc, char **argv)
                      historyPath.c_str());
     }
 
-    if (!writeGoldenPath.empty()) {
-        std::ofstream f(writeGoldenPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        f << report;
-        std::fprintf(stderr, "terp-serve: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-
-    if (!goldenPath.empty()) {
-        std::ifstream f(goldenPath);
-        if (!f) {
-            std::fprintf(stderr, "terp-serve: cannot read golden %s\n",
-                         goldenPath.c_str());
-            return 2;
-        }
-        std::ostringstream want;
-        want << f.rdbuf();
-        if (want.str() != report) {
-            std::fprintf(stderr,
-                         "terp-serve: DRIFT: report differs from "
-                         "golden %s\n",
-                         goldenPath.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "terp-serve: report matches golden\n");
-    }
-    return 0;
+    return golden("terp-serve", report, goldenPath, writeGoldenPath);
 }

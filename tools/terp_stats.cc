@@ -40,15 +40,17 @@
  * or (for --diff) any difference, 2 on usage/IO errors.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/golden.hh"
 #include "metrics/export.hh"
 #include "metrics/json.hh"
 #include "metrics/registry.hh"
@@ -156,28 +158,15 @@ docFromRegistry(const metrics::Registry &reg, Doc &doc,
 }
 
 bool
-readFile(const std::string &path, std::string &out,
-         std::string &error)
+docFromFile(const std::string &path, Doc &doc, std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::optional<std::string> text = readFile(path);
+    if (!text) {
         error = "cannot read " + path;
         return false;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
-bool
-docFromFile(const std::string &path, Doc &doc, std::string &error)
-{
-    std::string text;
-    if (!readFile(path, text, error))
-        return false;
     std::unique_ptr<metrics::JsonValue> root =
-        metrics::parseJson(text, error);
+        metrics::parseJson(*text, error);
     if (!root) {
         error = path + ": " + error;
         return false;
@@ -462,44 +451,6 @@ goldenText(const Doc &doc)
     return os.str();
 }
 
-int
-checkGolden(const std::string &got, const std::string &path)
-{
-    std::string want, error;
-    if (!readFile(path, want, error)) {
-        std::fprintf(stderr, "terp-stats: %s\n", error.c_str());
-        return 2;
-    }
-    if (got == want) {
-        std::fprintf(stderr, "terp-stats: metrics match golden %s\n",
-                     path.c_str());
-        return 0;
-    }
-    // Report the first differing lines for a usable CI message.
-    std::istringstream a(want), b(got);
-    std::string la, lb;
-    unsigned lineNo = 0, shown = 0;
-    for (;;) {
-        bool ha = static_cast<bool>(std::getline(a, la));
-        bool hb = static_cast<bool>(std::getline(b, lb));
-        if (!ha && !hb)
-            break;
-        ++lineNo;
-        if (ha && hb && la == lb)
-            continue;
-        std::fprintf(stderr,
-                     "terp-stats: DRIFT at line %u:\n  golden: %s\n"
-                     "  actual: %s\n",
-                     lineNo, ha ? la.c_str() : "<eof>",
-                     hb ? lb.c_str() : "<eof>");
-        if (++shown >= 5) {
-            std::fprintf(stderr, "terp-stats: (more drift elided)\n");
-            break;
-        }
-    }
-    return 1;
-}
-
 // --------------------------------------------------------------- diff
 
 int
@@ -626,26 +577,6 @@ diffDocs(const Doc &a, const Doc &b)
 
 // ---------------------------------------------------------- run mode
 
-bool
-schemeConfig(const std::string &tag, core::RuntimeConfig &cfg)
-{
-    if (tag == "unprotected")
-        cfg = core::RuntimeConfig::unprotected();
-    else if (tag == "mm")
-        cfg = core::RuntimeConfig::mm();
-    else if (tag == "tm")
-        cfg = core::RuntimeConfig::tm();
-    else if (tag == "tt")
-        cfg = core::RuntimeConfig::tt();
-    else if (tag == "ttnc")
-        cfg = core::RuntimeConfig::ttNoCombining();
-    else if (tag == "basic")
-        cfg = core::RuntimeConfig::basicSemantics();
-    else
-        return false;
-    return true;
-}
-
 /**
  * Cross-check the three observability paths on a finished run: the
  * metrics histograms must agree cycle-for-cycle (count, sum, min,
@@ -748,73 +679,47 @@ crossCheck(const workloads::RunResult &r)
     return failures;
 }
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: terp-stats run <workload> <scheme> [--sections=N]"
-        " [--seed=N]\n"
-        "       terp-stats --from=FILE\n"
-        "       terp-stats --diff A B\n"
-        "options: [--json] [--prom] [--blame] [--golden=FILE]"
-        " [--write-golden=FILE]\n"
-        "  --blame: print the exposure blame report instead of the\n"
-        "           posture report; --golden/--write-golden then\n"
-        "           apply to the blame report text\n"
-        "workloads: echo ycsb tpcc ctree hashmap redis\n"
-        "schemes: unprotected mm tm tt ttnc basic\n");
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string fromPath, goldenPath, writeGoldenPath;
-    std::vector<std::string> diffPaths, positional;
-    bool emitJson = false, emitProm = false, blame = false;
+    std::vector<std::string> positional;
+    bool diff = false, emitJson = false, emitProm = false, blame = false;
     std::uint64_t sections = 400, seed = 1234;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--from=", 0) == 0) {
-            fromPath = a.substr(7);
-        } else if (a == "--diff") {
-            if (i + 2 >= argc)
-                return usage();
-            diffPaths = {argv[i + 1], argv[i + 2]};
-            i += 2;
-        } else if (a.rfind("--golden=", 0) == 0) {
-            goldenPath = a.substr(9);
-        } else if (a.rfind("--write-golden=", 0) == 0) {
-            writeGoldenPath = a.substr(15);
-        } else if (a.rfind("--sections=", 0) == 0) {
-            sections = std::strtoull(a.c_str() + 11, nullptr, 10);
-        } else if (a.rfind("--seed=", 0) == 0) {
-            seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-        } else if (a == "--json") {
-            emitJson = true;
-        } else if (a == "--prom") {
-            emitProm = true;
-        } else if (a == "--blame") {
-            blame = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage();
-        } else if (a.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return usage();
-        } else {
-            positional.push_back(a);
-        }
-    }
+    FlagTable flags("terp-stats",
+                    "Security-posture report from a live run (run "
+                    "<workload> <scheme>), a metrics export (--from) "
+                    "or two exports (--diff A B)");
+    flags.rest(positional, "ARG", "run <workload> <scheme>, or A B with --diff")
+        .text("--from", fromPath, "FILE",
+              "load a metrics JSON export or a BENCH_terp.json")
+        .toggle("--diff", diff,
+                "compare two metrics files; exit 1 on any difference")
+        .count("--sections", sections, 1, "WHISPER transactions of a run")
+        .count("--seed", seed, 0, "workload seed of a run")
+        .toggle("--json", emitJson, "re-emit the registry as JSON")
+        .toggle("--prom", emitProm,
+                "emit the Prometheus text format (run only)")
+        .toggle("--blame", blame,
+                "print the exposure blame report; the golden flags "
+                "then apply to it")
+        .text("--golden", goldenPath, "FILE",
+              "fail (exit 1) if the golden text differs from FILE "
+              "(host.* metrics excluded)")
+        .text("--write-golden", writeGoldenPath, "FILE",
+              "write the golden text to FILE")
+        .parse(argc, argv);
 
-    if (!diffPaths.empty()) {
+    if (diff) {
+        if (positional.size() != 2)
+            flags.fail("--diff needs two metrics files A B");
         Doc a, b;
         std::string error;
-        if (!docFromFile(diffPaths[0], a, error) ||
-            !docFromFile(diffPaths[1], b, error)) {
+        if (!docFromFile(positional[0], a, error) ||
+            !docFromFile(positional[1], b, error)) {
             std::fprintf(stderr, "terp-stats: %s\n", error.c_str());
             return 2;
         }
@@ -828,27 +733,21 @@ main(int argc, char **argv)
 
     if (!fromPath.empty()) {
         if (!positional.empty())
-            return usage();
+            flags.fail("--from takes no positional argument");
         if (!docFromFile(fromPath, doc, error)) {
             std::fprintf(stderr, "terp-stats: %s\n", error.c_str());
             return 2;
         }
     } else if (positional.size() == 3 && positional[0] == "run") {
         const std::string &workload = positional[1];
-        core::RuntimeConfig cfg;
-        if (!schemeConfig(positional[2], cfg)) {
-            std::fprintf(stderr, "unknown scheme '%s'\n",
-                         positional[2].c_str());
-            return usage();
-        }
-        bool known = false;
-        for (const std::string &n : workloads::whisperNames())
-            known = known || n == workload;
-        if (!known) {
-            std::fprintf(stderr, "unknown workload '%s'\n",
-                         workload.c_str());
-            return usage();
-        }
+        const std::vector<std::string> &wls = workloads::whisperNames();
+        if (std::find(wls.begin(), wls.end(), workload) == wls.end())
+            flags.fail("unknown workload '" + workload + "'");
+        const std::vector<std::string> &tags = core::schemeTags();
+        if (std::find(tags.begin(), tags.end(), positional[2]) ==
+            tags.end())
+            flags.fail("unknown scheme '" + positional[2] + "'");
+        core::RuntimeConfig cfg = core::RuntimeConfig::named(positional[2]);
         workloads::WhisperParams p;
         p.sections = sections;
         p.seed = seed;
@@ -869,20 +768,15 @@ main(int argc, char **argv)
             return 2;
         }
     } else {
-        return usage();
+        flags.fail("needs run <workload> <scheme>, --from=FILE or --diff "
+                   "A B (try --help)");
     }
 
     if (emitJson) {
         if (liveReg) {
             std::printf("%s\n", metrics::toJson(*liveReg).c_str());
         } else {
-            std::string text;
-            if (!readFile(fromPath, text, error)) {
-                std::fprintf(stderr, "terp-stats: %s\n",
-                             error.c_str());
-                return 2;
-            }
-            std::fputs(text.c_str(), stdout);
+            std::fputs(readFile(fromPath).value_or("").c_str(), stdout);
         }
     } else if (emitProm && liveReg) {
         std::fputs(metrics::toPrometheus(*liveReg).c_str(), stdout);
@@ -899,22 +793,9 @@ main(int argc, char **argv)
 
     // With --blame the golden is the blame report text itself; the
     // default golden keeps blame metrics excluded either way.
-    std::string golden = blame ? blameText(doc) : goldenText(doc);
-    if (!writeGoldenPath.empty()) {
-        std::ofstream out(writeGoldenPath, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "terp-stats: cannot write %s\n",
-                         writeGoldenPath.c_str());
-            return 2;
-        }
-        out << golden;
-        std::fprintf(stderr, "terp-stats: wrote golden %s\n",
-                     writeGoldenPath.c_str());
-    }
-    if (!goldenPath.empty()) {
-        int rc = checkGolden(golden, goldenPath);
-        if (rc != 0)
-            return rc;
-    }
+    if (int rc = golden("terp-stats",
+                        blame ? blameText(doc) : goldenText(doc),
+                        goldenPath, writeGoldenPath))
+        return rc;
     return failures > 0 ? 1 : 0;
 }

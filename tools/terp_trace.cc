@@ -27,11 +27,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 
+#include "common/cli.hh"
 #include "trace/export.hh"
 #include "workloads/spec.hh"
 #include "workloads/whisper.hh"
@@ -46,50 +45,45 @@ contains(const std::vector<std::string> &v, const std::string &s)
     return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-core::RuntimeConfig
-schemeConfig(const std::string &scheme, Cycles ew, Cycles tew)
-{
-    if (scheme == "unprotected")
-        return core::RuntimeConfig::unprotected();
-    if (scheme == "mm")
-        return core::RuntimeConfig::mm(ew);
-    if (scheme == "tm")
-        return core::RuntimeConfig::tm(ew, tew);
-    if (scheme == "tt")
-        return core::RuntimeConfig::tt(ew, tew);
-    if (scheme == "ttnc")
-        return core::RuntimeConfig::ttNoCombining(ew, tew);
-    if (scheme == "basic")
-        return core::RuntimeConfig::basicSemantics(ew);
-    std::fprintf(stderr, "unknown scheme '%s' (try: unprotected mm "
-                         "tm tt ttnc basic)\n",
-                 scheme.c_str());
-    std::exit(2);
-}
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: terp-trace <workload> <scheme> [--out FILE] "
-                 "[--jsonl FILE]\n"
-                 "                  [--threads N] [--sections N] "
-                 "[--scale F]\n"
-                 "                  [--ew US] [--tew US] "
-                 "[--capacity N]\n"
-                 "       terp-trace list\n");
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
+    std::string workload, scheme;
+    std::string out = "terp-trace.json";
+    std::string jsonl;
+    unsigned threads = 1;
+    std::uint64_t sections = 200;
+    double scale = 1.0;
+    double ewUs = 40.0, tewUs = 2.0;
+    std::size_t capacity = trace::TraceSink::defaultCapacity;
 
-    if (std::string(argv[1]) == "list") {
+    std::vector<std::string> workloadNames = {"list"};
+    for (const auto *names :
+         {&workloads::whisperNames(), &workloads::specNames()})
+        workloadNames.insert(workloadNames.end(), names->begin(),
+                             names->end());
+    FlagTable flags("terp-trace", "Trace one workload under one scheme, "
+                                  "audit the trace and export it");
+    flags
+        .choice("workload", workload, workloadNames,
+                "WHISPER or SPEC workload, or list")
+        .choice("scheme", scheme, core::schemeTags(), "scheme")
+        .text("--out", out, "FILE", "Chrome-trace JSON output")
+        .text("--jsonl", jsonl, "FILE",
+              "also write JSONL (one event per line)")
+        .count("--threads", threads, 1, "SPEC thread count")
+        .count("--sections", sections, 1, "WHISPER transactions")
+        .positive("--scale", scale, "SPEC iteration scale",
+                  workloads::kMaxSpecScale)
+        .positive("--ew", ewUs, "EW target in microseconds")
+        .positive("--tew", tewUs, "TEW target in microseconds")
+        .count("--capacity", capacity, 1,
+               "per-thread ring capacity in events")
+        .parse(argc, argv);
+
+    if (workload == "list") {
         std::printf("WHISPER workloads:");
         for (const std::string &n : workloads::whisperNames())
             std::printf(" %s", n.c_str());
@@ -100,50 +94,11 @@ main(int argc, char **argv)
                     "basic\n");
         return 0;
     }
-    if (argc < 3)
-        return usage();
+    if (scheme.empty())
+        flags.fail("needs <workload> <scheme> or list (try --help)");
 
-    std::string workload = argv[1];
-    std::string scheme = argv[2];
-    std::string out = "terp-trace.json";
-    std::string jsonl;
-    unsigned threads = 1;
-    std::uint64_t sections = 200;
-    double scale = 1.0;
-    double ewUs = 40.0, tewUs = 2.0;
-    std::size_t capacity = trace::TraceSink::defaultCapacity;
-
-    for (int i = 3; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--out")
-            out = val();
-        else if (a == "--jsonl")
-            jsonl = val();
-        else if (a == "--threads")
-            threads = static_cast<unsigned>(std::atoi(val()));
-        else if (a == "--sections")
-            sections = static_cast<std::uint64_t>(std::atoll(val()));
-        else if (a == "--scale")
-            scale = std::atof(val());
-        else if (a == "--ew")
-            ewUs = std::atof(val());
-        else if (a == "--tew")
-            tewUs = std::atof(val());
-        else if (a == "--capacity")
-            capacity = static_cast<std::size_t>(std::atoll(val()));
-        else
-            return usage();
-    }
-
-    core::RuntimeConfig cfg =
-        schemeConfig(scheme, usToCycles(ewUs), usToCycles(tewUs));
+    core::RuntimeConfig cfg = core::RuntimeConfig::named(
+        scheme, usToCycles(ewUs), usToCycles(tewUs));
     cfg.traceEnabled = true;
     cfg.traceCapacity = capacity;
 
@@ -152,16 +107,11 @@ main(int argc, char **argv)
         workloads::WhisperParams p;
         p.sections = sections;
         r = workloads::runWhisper(workload, cfg, p);
-    } else if (contains(workloads::specNames(), workload)) {
+    } else {
         workloads::SpecParams p;
         p.threads = threads;
         p.scale = scale;
         r = workloads::runSpec(workload, cfg, p);
-    } else {
-        std::fprintf(stderr, "unknown workload '%s' (terp-trace list "
-                             "shows the options)\n",
-                     workload.c_str());
-        return 2;
     }
 
     std::printf("%s under %s: %llu cycles (%.1f us)\n",
