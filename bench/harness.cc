@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -25,6 +26,24 @@ figures()
         {"ablation", run_ablation, {"40"}},
     };
     return all;
+}
+
+std::string
+gitRev()
+{
+    std::string rev;
+    if (FILE *p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+        char buf[64] = {};
+        if (std::fgets(buf, sizeof(buf), p))
+            rev = buf;
+        while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
+            rev.pop_back();
+        // Outside a git checkout the command prints nothing and exits
+        // nonzero.
+        if (pclose(p) != 0)
+            rev.clear();
+    }
+    return rev.empty() ? "unknown" : rev;
 }
 
 namespace {

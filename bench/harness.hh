@@ -64,6 +64,9 @@ struct Figure
 /** The whole suite, in the order terp-bench runs it. */
 const std::vector<Figure> &figures();
 
+/** Short git revision of the working tree, or "unknown". */
+std::string gitRev();
+
 /** Snapshot of the process-wide simulation tally. */
 struct SimTally
 {

@@ -6,7 +6,8 @@
  *    reduced Fig 11 matrix at --jobs=8 produces byte-identical
  *    stdout (and therefore identical simulated-cycle results) to
  *    --jobs=1, where --jobs=1 is the original serial code path;
- *  - the simulation tally;
+ *  - the simulation tally and the git revision BENCH_terp.json
+ *    records;
  *  - ParallelRunner ordering, exception propagation, and a seeded
  *    differential-fuzz pass so the runtime structures the optimized
  *    benches exercise stay pinned to the Section-IV oracle.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
@@ -91,6 +93,20 @@ TEST(BenchHarness, TallyCountsSimulations)
     const bench::SimTally after = bench::tallySnapshot();
     EXPECT_EQ(after.sims - before.sims, 2u);
     EXPECT_EQ(after.simCycles - before.simCycles, 200u);
+}
+
+TEST(BenchHarness, GitRevIsSane)
+{
+    // "unknown" outside a checkout, else a short hex revision: never
+    // empty and never raw popen noise with trailing newlines.
+    const std::string rev = bench::gitRev();
+    EXPECT_FALSE(rev.empty());
+    EXPECT_EQ(rev.find('\n'), std::string::npos);
+    if (rev != "unknown") {
+        for (char c : rev)
+            EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(c)))
+                << rev;
+    }
 }
 
 TEST(BenchHarness, RunnerExecutesEveryTaskIntoItsSlot)

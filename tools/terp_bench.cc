@@ -18,13 +18,13 @@
  * Usage:
  *   terp-bench [--quick] [--jobs=N] [--repeat=N] [--out=FILE]
  *              [--golden=FILE] [--write-golden=FILE]
- *              [--metrics-prom=FILE] [--history=FILE]
+ *              [--metrics-prom=FILE]
  *
  * Options:
  *   --quick            reduced workload sizes (CI smoke run)
  *   --jobs=N           worker threads per figure (default 1)
  *   --repeat=N         run the suite N times and report best-of-N
- *                      wall clock (one JSON record / history line);
+ *                      wall clock (one JSON record);
  *                      simulated work must be identical across
  *                      passes — a mismatch is reported as drift
  *   --out=FILE         JSON output path (default BENCH_terp.json)
@@ -33,8 +33,6 @@
  *   --write-golden=FILE  write the per-figure summary to FILE
  *   --metrics-prom=FILE  also export the aggregated metrics registry
  *                      in Prometheus text format
- *   --history=FILE     append {git rev, sims/s, p99 EW} to the
- *                      append-only bench history (JSON lines)
  *
  * The JSON summary ends with a "metrics" section: the process-wide
  * registry every run merged into (bench::globalMetrics()), giving
@@ -57,7 +55,6 @@
 #include "common/cli.hh"
 #include "common/golden.hh"
 #include "harness.hh"
-#include "history.hh"
 #include "metrics/export.hh"
 
 using namespace terp;
@@ -71,29 +68,6 @@ struct FigResult
     std::uint64_t sims = 0;
     std::uint64_t simCycles = 0;
 };
-
-/**
- * Largest p99 across the aggregate's pmo="all" EW histograms (the
- * merge bakes scheme labels into the names, so there is one per
- * scheme; the worst tail is the regression-relevant one).
- */
-std::uint64_t
-aggregateEwP99()
-{
-    std::uint64_t worst = 0;
-    for (const auto &[name, entry] :
-         bench::globalMetrics().entries()) {
-        if (entry.kind != metrics::Kind::Histogram || !entry.hist)
-            continue;
-        if (name.rfind("exposure.ew_cycles{", 0) != 0 ||
-            name.find("pmo=\"all\"") == std::string::npos)
-            continue;
-        std::uint64_t p = entry.hist->quantile(0.99);
-        if (p > worst)
-            worst = p;
-    }
-    return worst;
-}
 
 /** Run @p fn with stdout pointed at /dev/null, restoring it after. */
 int
@@ -131,7 +105,6 @@ main(int argc, char **argv)
     std::string goldenPath;
     std::string writeGoldenPath;
     std::string promPath;
-    std::string historyPath;
 
     FlagTable("terp-bench",
               "Run the whole figure/table suite in-process and write a "
@@ -148,16 +121,14 @@ main(int argc, char **argv)
               "write the per-figure summary to FILE")
         .text("--metrics-prom", promPath, "FILE",
               "also export the aggregated metrics (Prometheus text)")
-        .text("--history", historyPath, "FILE",
-              "append this run to the bench history (JSON lines)")
         .parse(argc, argv);
 
     const std::string jobsFlag = "--jobs=" + std::to_string(jobs);
     std::vector<FigResult> results;
-    // Best-of-N convention (see bench/history.hh): wall-clock fields
-    // are the minimum over passes, simulated work the (identical)
-    // per-pass amount, so a single record summarizes N passes without
-    // inflating throughput by host noise in either direction.
+    // Best-of-N: wall-clock fields are the minimum over passes,
+    // simulated work the (identical) per-pass amount, so one record
+    // summarizes N passes without inflating throughput by host noise
+    // in either direction.
     double bestPassS = 0;
     std::uint64_t passSims = 0;
     bool repeatDrift = false;
@@ -238,8 +209,8 @@ main(int argc, char **argv)
                      "across repeat passes; results suspect\n");
     // Note: the metrics registry accumulates across passes (counters
     // end up N x a single pass; quantile sketches just see N copies
-    // of the same samples). History/JSON throughput uses per-pass
-    // sims over best-of-N wall, so repeat does not skew it.
+    // of the same samples). JSON throughput uses per-pass sims over
+    // best-of-N wall, so repeat does not skew it.
 
     // ---- JSON summary --------------------------------------------
     if (FILE *f = std::fopen(outPath.c_str(), "w")) {
@@ -282,21 +253,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "terp-bench: cannot write %s\n",
                      outPath.c_str());
         return 2;
-    }
-
-    if (!historyPath.empty()) {
-        bench::HistoryRecord rec;
-        rec.tool = "terp-bench";
-        rec.metric = "sims_per_s";
-        rec.simsPerS = totalS > 0 ? total.sims / totalS : 0.0;
-        rec.p99EwCycles = aggregateEwP99();
-        if (!bench::appendHistory(historyPath, rec)) {
-            std::fprintf(stderr, "terp-bench: cannot append %s\n",
-                         historyPath.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "terp-bench: appended history %s\n",
-                     historyPath.c_str());
     }
 
     if (!promPath.empty()) {

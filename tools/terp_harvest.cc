@@ -31,8 +31,6 @@
  *   --golden=FILE     fail (exit 1) if the deterministic per-cell
  *                     summary differs from FILE
  *   --write-golden=FILE  write the per-cell summary to FILE
- *   --history=PATH    append one throughput record (metric label
- *                     cycles_per_s) to the benchmark history
  *
  * Exit status: 0 when every cell passed its oracle, 1 on any
  * violation or golden drift, 2 on usage errors.
@@ -51,7 +49,6 @@
 #include "common/cli.hh"
 #include "common/golden.hh"
 #include "energy/harvest.hh"
-#include "history.hh"
 
 using namespace terp;
 
@@ -135,7 +132,7 @@ main(int argc, char **argv)
     double ewUs = 5.0;
     unsigned audit = 25;
     bool json = false;
-    std::string goldenPath, writeGoldenPath, historyPath;
+    std::string goldenPath, writeGoldenPath;
 
     std::vector<std::string> workloadNames;
     for (const check::RecoveryWorkload &wl : check::recoveryWorkloads())
@@ -160,8 +157,6 @@ main(int argc, char **argv)
               "fail (exit 1) if the per-cell summary differs from FILE")
         .text("--write-golden", writeGoldenPath, "FILE",
               "write the per-cell summary to FILE")
-        .text("--history", historyPath, "FILE",
-              "append one throughput record to the bench history")
         .parse(argc, argv);
 
     std::vector<std::uint64_t> caps = parseCaps(capsArg);
@@ -178,7 +173,6 @@ main(int argc, char **argv)
     std::vector<CellResult> cells;
     bool anyViolation = false;
     std::uint64_t totalPowerCycles = 0;
-    double worstEwMaxUs = 0;
 
     for (const std::string &sc : schemes) {
         for (std::uint64_t cap : caps) {
@@ -205,8 +199,6 @@ main(int argc, char **argv)
                 return 2;
             }
             totalPowerCycles += cell.res.powerCycles;
-            if (cell.res.exposure.ewMaxUs > worstEwMaxUs)
-                worstEwMaxUs = cell.res.exposure.ewMaxUs;
             if (!cell.res.ok()) {
                 anyViolation = true;
                 for (const std::string &v : cell.res.violations)
@@ -268,23 +260,6 @@ main(int argc, char **argv)
                     "wall (%.0f cycles/s)\n",
                     (unsigned long long)totalPowerCycles, wallS,
                     wallS > 0 ? totalPowerCycles / wallS : 0.0);
-    }
-
-    if (!historyPath.empty()) {
-        bench::HistoryRecord rec;
-        rec.tool = "terp-harvest";
-        rec.metric = "cycles_per_s";
-        rec.simsPerS =
-            wallS > 0 ? totalPowerCycles / wallS : 0.0;
-        rec.p99EwCycles =
-            static_cast<std::uint64_t>(usToCycles(worstEwMaxUs));
-        if (!bench::appendHistory(historyPath, rec)) {
-            std::fprintf(stderr, "terp-harvest: cannot append %s\n",
-                         historyPath.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "terp-harvest: appended history %s\n",
-                     historyPath.c_str());
     }
 
     // ---- golden summary (simulated work only; no wall clock) ------

@@ -22,7 +22,7 @@
  *              [--sessions=C] [--requests=R] [--scheme=NAME]
  *              [--slow=FRAC] [--queue-cap=Q] [--out=FILE]
  *              [--golden=FILE] [--write-golden=FILE]
- *              [--metrics-prom=FILE] [--history=FILE] [--quiet]
+ *              [--metrics-prom=FILE] [--quiet]
  *
  * Options:
  *   --quick              small CI configuration (2 shards, 200
@@ -50,8 +50,6 @@
  *   --golden=FILE        fail (exit 1) if the report differs
  *   --write-golden=FILE  write the report to FILE
  *   --metrics-prom=FILE  fleet metrics, Prometheus text format
- *   --history=FILE       append {git rev, req/s, p99 EW, p99
- *                        latency} to the bench history (JSON lines)
  *   --quiet              suppress the report on stdout
  *
  * Exit status: 0 on success, 1 on golden drift, 2 on usage errors.
@@ -63,25 +61,11 @@
 
 #include "common/cli.hh"
 #include "common/golden.hh"
-#include "history.hh"
 #include "metrics/export.hh"
 #include "serve/report.hh"
 #include "serve/server.hh"
 
 using namespace terp;
-
-namespace {
-
-std::uint64_t
-fleetP99(const serve::FleetResult &res, const char *name)
-{
-    if (!res.fleet)
-        return 0;
-    const metrics::LogHistogram *h = res.fleet->findHistogram(name);
-    return h && h->summary().count() ? h->quantile(0.99) : 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -90,7 +74,7 @@ main(int argc, char **argv)
     unsigned workers = 1;
     bool quiet = false;
     std::string outPath = "SERVE_terp.json";
-    std::string goldenPath, writeGoldenPath, promPath, historyPath;
+    std::string goldenPath, writeGoldenPath, promPath;
 
     std::string scheme = "tt";
     // --quick is declared first: it picks the base configuration the
@@ -123,8 +107,6 @@ main(int argc, char **argv)
               "write the report to FILE")
         .text("--metrics-prom", promPath, "FILE",
               "fleet metrics, Prometheus text format")
-        .text("--history", historyPath, "FILE",
-              "append req/s and p99 EW/latency to the bench history")
         .toggle("--quiet", quiet, "suppress the report on stdout")
         .parse(argc, argv);
     cfg.runtime = core::RuntimeConfig::named(scheme);
@@ -171,28 +153,6 @@ main(int argc, char **argv)
         f << metrics::toPrometheus(*res.fleet);
         std::fprintf(stderr, "terp-serve: wrote %s\n",
                      promPath.c_str());
-    }
-
-    if (!historyPath.empty()) {
-        bench::HistoryRecord rec;
-        rec.tool = "terp-serve";
-        rec.metric = "req_per_s"; // completed requests, not sims
-        std::uint64_t done = 0;
-        for (const auto &s : res.shards)
-            done += s.completed;
-        rec.simsPerS =
-            res.wallSeconds > 0 ? done / res.wallSeconds : 0.0;
-        rec.p99EwCycles =
-            fleetP99(res, "exposure.ew_cycles{pmo=\"all\"}");
-        rec.p99LatencyCycles =
-            fleetP99(res, "serve.request_latency_cycles");
-        if (!bench::appendHistory(historyPath, rec)) {
-            std::fprintf(stderr, "terp-serve: cannot append %s\n",
-                         historyPath.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "terp-serve: appended history %s\n",
-                     historyPath.c_str());
     }
 
     return golden("terp-serve", report, goldenPath, writeGoldenPath);

@@ -43,7 +43,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -418,154 +417,121 @@ blameText(const Doc &doc)
 
 // ------------------------------------------------------------- golden
 
+/** A gauge as the golden and --diff compare it: %.6g. */
+std::string
+gaugeText(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
+
 /**
  * Golden format, one metric per line (host.* excluded):
- *   C <name> <value>                    counters
- *   G <name> <value %.6g>               gauges
- *   H <name> <count> <sum> <min> <max>  summaries/histograms
+ *   C <name> <value>                          counters
+ *   G <name> <value %.6g>                     gauges
+ *   H <name> <count> <sum> <min> <max> <p99>  summaries/histograms
  * Only exact (deterministic) quantities plus %.6g-rounded gauges, so
- * the file is stable across hosts and --jobs values.
+ * the file is stable across hosts and --jobs values. A histogram's
+ * p99 is the bucket bound its merged counts give, the same for any
+ * merge order; the EW p99 is the paper's headline exposure tail.
  */
 std::string
 goldenText(const Doc &doc)
 {
     std::ostringstream os;
     os << "# terp-stats golden: C name v | G name v | "
-          "H name count sum min max\n";
-    char buf[64];
+          "H name count sum min max p99\n";
     for (const auto &[name, v] : doc.counters)
         if (!isHostMetric(name) && !isBlameMetric(name))
             os << "C " << name << " " << v << "\n";
-    for (const auto &[name, v] : doc.gauges) {
-        if (isHostMetric(name) || isBlameMetric(name))
-            continue;
-        std::snprintf(buf, sizeof(buf), "%.6g", v.first);
-        os << "G " << name << " " << buf << "\n";
-    }
+    for (const auto &[name, v] : doc.gauges)
+        if (!isHostMetric(name) && !isBlameMetric(name))
+            os << "G " << name << " " << gaugeText(v.first) << "\n";
     for (const auto &[name, d] : doc.dists) {
         if (isHostMetric(name) || isBlameMetric(name))
             continue;
         os << "H " << name << " " << d.count << " " << d.sum << " "
-           << d.min << " " << d.max << "\n";
+           << d.min << " " << d.max << " " << d.p99 << "\n";
     }
     return os.str();
 }
 
 // --------------------------------------------------------------- diff
 
+/**
+ * Note every metric @p keep selects that differs between @p a and @p b
+ * in what the golden pins: a counter's value, a gauge's %.6g value,
+ * a distribution's count, sum, min, max and p99 (printed only when
+ * it moved), or that only one side has.
+ */
+template <typename Keep, typename Note>
+void
+diffSection(const Doc &a, const Doc &b, Keep keep, Note note)
+{
+    // show(v, other) renders v beside the other side's value.
+    auto each = [&](const auto &ma, const auto &mb, auto show) {
+        for (const auto &[name, v] : ma) {
+            if (!keep(name))
+                continue;
+            auto it = mb.find(name);
+            if (it == mb.end())
+                note(name, show(v, v), "(absent)");
+            else if (show(v, it->second) != show(it->second, v))
+                note(name, show(v, it->second), show(it->second, v));
+        }
+        for (const auto &[name, v] : mb)
+            if (keep(name) && !ma.count(name))
+                note(name, "(absent)", show(v, v));
+    };
+    each(a.counters, b.counters, [](std::uint64_t v, std::uint64_t) {
+        return std::to_string(v);
+    });
+    each(a.gauges, b.gauges, [](const auto &v, const auto &) {
+        return gaugeText(v.first);
+    });
+    each(a.dists, b.dists, [](const DistStat &d, const DistStat &other) {
+        std::string s = "count=" + std::to_string(d.count) +
+                        " sum=" + std::to_string(d.sum) +
+                        " min=" + std::to_string(d.min) +
+                        " max=" + std::to_string(d.max);
+        if (other.p99 != d.p99)
+            s += " p99=" + std::to_string(d.p99);
+        return s;
+    });
+}
+
 int
 diffDocs(const Doc &a, const Doc &b)
 {
     unsigned changes = 0;
-    auto note = [&](const std::string &name, const std::string &va,
-                    const std::string &vb) {
-        std::printf("%-44s %s -> %s\n", name.c_str(), va.c_str(),
-                    vb.c_str());
-        ++changes;
-    };
-    auto u64s = [](std::uint64_t v) { return std::to_string(v); };
-
-    for (const auto &[name, v] : a.counters) {
-        if (isHostMetric(name) || isBlameMetric(name))
-            continue;
-        auto it = b.counters.find(name);
-        if (it == b.counters.end())
-            note(name, u64s(v), "(absent)");
-        else if (it->second != v)
-            note(name, u64s(v), u64s(it->second));
-    }
-    for (const auto &[name, v] : b.counters)
-        if (!isHostMetric(name) && !isBlameMetric(name) &&
-            !a.counters.count(name))
-            note(name, "(absent)", u64s(v));
-
-    for (const auto &[name, v] : a.gauges) {
-        if (isHostMetric(name))
-            continue;
-        auto it = b.gauges.find(name);
-        char va[64], vb[64];
-        std::snprintf(va, sizeof(va), "%.6g", v.first);
-        if (it == b.gauges.end()) {
-            note(name, va, "(absent)");
-            continue;
-        }
-        std::snprintf(vb, sizeof(vb), "%.6g", it->second.first);
-        if (std::strcmp(va, vb) != 0)
-            note(name, va, vb);
-    }
-    for (const auto &[name, v] : b.gauges) {
-        if (!isHostMetric(name) && !a.gauges.count(name)) {
-            char vb[64];
-            std::snprintf(vb, sizeof(vb), "%.6g", v.first);
-            note(name, "(absent)", vb);
-        }
-    }
-
-    auto distStr = [&](const DistStat &d) {
-        return "count=" + u64s(d.count) + " sum=" + u64s(d.sum) +
-               " min=" + u64s(d.min) + " max=" + u64s(d.max);
-    };
-    for (const auto &[name, d] : a.dists) {
-        if (isHostMetric(name) || isBlameMetric(name))
-            continue;
-        auto it = b.dists.find(name);
-        if (it == b.dists.end()) {
-            note(name, distStr(d), "(absent)");
-        } else if (it->second.count != d.count ||
-                   it->second.sum != d.sum ||
-                   it->second.min != d.min ||
-                   it->second.max != d.max) {
-            note(name, distStr(d), distStr(it->second));
-        }
-    }
-    for (const auto &[name, d] : b.dists)
-        if (!isHostMetric(name) && !isBlameMetric(name) &&
-            !a.dists.count(name))
-            note(name, "(absent)", distStr(d));
+    diffSection(
+        a, b,
+        [](const std::string &name) {
+            return !isHostMetric(name) && !isBlameMetric(name);
+        },
+        [&](const std::string &name, const std::string &va,
+            const std::string &vb) {
+            std::printf("%-44s %s -> %s\n", name.c_str(), va.c_str(),
+                        vb.c_str());
+            ++changes;
+        });
 
     // Blame attribution last, under its own header, in sorted name
     // order (= sorted cause order within each label group) so two
     // diffs of the same pair are always formatted identically.
     bool blameHeader = false;
-    auto noteBlame = [&](const std::string &name,
-                         const std::string &va,
-                         const std::string &vb) {
-        if (!blameHeader) {
-            std::printf("blame attribution:\n");
-            blameHeader = true;
-        }
-        std::printf("  %-44s %s -> %s\n", name.c_str(), va.c_str(),
-                    vb.c_str());
-        ++changes;
-    };
-    for (const auto &[name, v] : a.counters) {
-        if (!isBlameMetric(name))
-            continue;
-        auto it = b.counters.find(name);
-        if (it == b.counters.end())
-            noteBlame(name, u64s(v), "(absent)");
-        else if (it->second != v)
-            noteBlame(name, u64s(v), u64s(it->second));
-    }
-    for (const auto &[name, v] : b.counters)
-        if (isBlameMetric(name) && !a.counters.count(name))
-            noteBlame(name, "(absent)", u64s(v));
-    for (const auto &[name, d] : a.dists) {
-        if (!isBlameMetric(name))
-            continue;
-        auto it = b.dists.find(name);
-        if (it == b.dists.end()) {
-            noteBlame(name, distStr(d), "(absent)");
-        } else if (it->second.count != d.count ||
-                   it->second.sum != d.sum ||
-                   it->second.min != d.min ||
-                   it->second.max != d.max) {
-            noteBlame(name, distStr(d), distStr(it->second));
-        }
-    }
-    for (const auto &[name, d] : b.dists)
-        if (isBlameMetric(name) && !a.dists.count(name))
-            noteBlame(name, "(absent)", distStr(d));
+    diffSection(a, b, isBlameMetric,
+                [&](const std::string &name, const std::string &va,
+                    const std::string &vb) {
+                    if (!blameHeader) {
+                        std::printf("blame attribution:\n");
+                        blameHeader = true;
+                    }
+                    std::printf("  %-44s %s -> %s\n", name.c_str(),
+                                va.c_str(), vb.c_str());
+                    ++changes;
+                });
 
     if (changes == 0) {
         std::printf("no differences\n");
