@@ -1,5 +1,6 @@
 #include "check/fuzzer.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "check/shrink.hh"
@@ -10,23 +11,19 @@ namespace check {
 std::vector<std::string>
 allSchemes()
 {
-    return {"mm", "tm", "tt", "ttnc", "basic"};
+    // schemeTags() lists "unprotected" first.
+    const std::vector<std::string> &tags = core::schemeTags();
+    return {tags.begin() + 1, tags.end()};
 }
 
 core::RuntimeConfig
 schemeConfig(const std::string &name, Cycles ew)
 {
-    if (name == "mm")
-        return core::RuntimeConfig::mm(ew);
-    if (name == "tm")
-        return core::RuntimeConfig::tm(ew);
-    if (name == "tt")
-        return core::RuntimeConfig::tt(ew);
-    if (name == "ttnc")
-        return core::RuntimeConfig::ttNoCombining(ew);
-    if (name == "basic")
-        return core::RuntimeConfig::basicSemantics(ew);
-    throw std::invalid_argument("unknown scheme: " + name);
+    const std::vector<std::string> &tags = core::schemeTags();
+    if (name == "unprotected" ||
+        std::find(tags.begin(), tags.end(), name) == tags.end())
+        throw std::invalid_argument("unknown scheme: " + name);
+    return core::RuntimeConfig::named(name, ew);
 }
 
 FuzzResult

@@ -18,14 +18,18 @@
 namespace terp {
 namespace check {
 
-/** CLI scheme names accepted by schemeConfig / terp-fuzz. */
+/**
+ * The protected schemes — core::schemeTags() without "unprotected",
+ * in its order: "mm", "tm", "tt", "ttnc" (TT without the circular
+ * buffer), "basic" (blocking Basic-semantics ablation). The CLI
+ * choices of terp-crash, terp-fuzz and terp-harvest.
+ */
 std::vector<std::string> allSchemes();
 
 /**
- * Runtime configuration for a scheme name: "mm", "tm", "tt",
- * "ttnc" (TT without the circular buffer) or "basic" (blocking
- * Basic-semantics ablation). Throws std::invalid_argument on an
- * unknown name.
+ * core::RuntimeConfig::named() for an allSchemes() name at EW target
+ * @p ew (default TEW). Throws std::invalid_argument on any other
+ * name.
  */
 core::RuntimeConfig schemeConfig(const std::string &name, Cycles ew);
 

@@ -132,6 +132,16 @@ schemeTags()
     return tags;
 }
 
+namespace {
+
+// Built during static initialisation, before anything that depends on
+// the command line allocates: a first call in the middle of a run
+// would add a long-lived block there and shift the heap layout (and
+// so the host timing) of everything allocated after it.
+[[maybe_unused]] const std::vector<std::string> &eagerTags = schemeTags();
+
+} // namespace
+
 std::string
 RuntimeConfig::describe() const
 {

@@ -61,9 +61,7 @@ struct Harness : check::FaultPolicy
 
     explicit Harness(const HarvestOptions &o)
         : opt(o),
-          run(harvestWorkload(o.workload),
-              check::schemeConfig(o.scheme, o.ewTarget)
-                  .withTrace(o.traceCapacity),
+          run(harvestWorkload(o.workload), harvestConfig(o),
               0x9e3779b97f4a7c15ULL ^ o.seed),
           cap(o.cap)
     {
@@ -288,6 +286,15 @@ struct Harness : check::FaultPolicy
 };
 
 } // namespace
+
+core::RuntimeConfig
+harvestConfig(const HarvestOptions &opt)
+{
+    core::RuntimeConfig cfg = check::schemeConfig(opt.scheme, opt.ewTarget);
+    // Only the audit reads the trace.
+    return opt.oracle && opt.auditEvery ? cfg.withTrace(opt.traceCapacity)
+                                        : cfg;
+}
 
 HarvestResult
 runHarvest(const HarvestOptions &opt)

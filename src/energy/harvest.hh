@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "core/config.hh"
 #include "energy/capacitor.hh"
 #include "semantics/ew_tracker.hh"
 
@@ -51,10 +52,15 @@ struct HarvestOptions
     bool oracle = true; //!< per-cycle invariant checks
     /**
      * Trace-audit stride: audit the full timeline every N power
-     * cycles (and at the end). 0 disables the audit — required for
-     * soaks long enough to wrap the trace ring.
+     * cycles (and at the end). The trace spans the whole run, so
+     * once any thread's events outgrow traceCapacity the ring wraps
+     * and every later audit reports a violation. 0 disables the
+     * audit and the trace with it: the world gets no trace sink (as
+     * it does with the oracle off), so a soak of any length runs
+     * untraced.
      */
     unsigned auditEvery = 0;
+    /** Per-thread trace ring capacity, in events (grown on demand). */
     std::size_t traceCapacity = 1u << 20;
     unsigned maxViolations = 8; //!< stop collecting past this many
 };
@@ -78,6 +84,12 @@ struct HarvestResult
 
     bool ok() const { return violations.empty(); }
 };
+
+/**
+ * The runtime configuration a harvest of @p opt runs: its scheme at
+ * its EW target, traced only when the oracle audits the trace.
+ */
+core::RuntimeConfig harvestConfig(const HarvestOptions &opt);
 
 /** Run one harvest configuration to completion. */
 HarvestResult runHarvest(const HarvestOptions &opt);

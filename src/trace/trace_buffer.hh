@@ -1,17 +1,18 @@
 /**
  * @file
- * Per-thread fixed-capacity ring-buffer event log and the process
- * sink that owns one buffer per thread.
+ * Per-thread bounded ring-buffer event log and the process sink
+ * that owns one buffer per thread.
  *
  * Design constraints:
- *   - cheap enough to leave on: emit() is a bounds-checked array
- *     store plus two counter increments, fully inlined here so that
- *     emitting modules (sim, pm) need no link dependency on the
- *     trace library;
- *   - bounded memory: when a buffer wraps, the oldest events are
- *     overwritten and counted in an explicit drop counter — recent
- *     history survives, and consumers (the auditor) can tell a
- *     complete trace from a truncated one;
+ *   - cheap enough to leave on: emit() is an append (an array
+ *     store once the buffer is full) plus two counter increments,
+ *     fully inlined here so that emitting modules (sim, pm) need no
+ *     link dependency on the trace library;
+ *   - memory that tracks what is kept: a buffer grows with the
+ *     events it retains and never past its capacity; once full it
+ *     wraps, overwriting the oldest events and counting them in an
+ *     explicit drop counter — recent history survives, and consumers
+ *     (the auditor) can tell a complete trace from a truncated one;
  *   - a true no-op when disabled: modules hold a nullable sink
  *     pointer and emit nothing (and charge nothing) without one.
  */
@@ -30,12 +31,16 @@
 namespace terp {
 namespace trace {
 
-/** Fixed-capacity overwrite-oldest ring buffer of events. */
+/**
+ * Bounded overwrite-oldest ring buffer of events. Storage grows on
+ * demand up to the capacity, so a buffer costs what it retains, not
+ * what it could retain.
+ */
 class TraceBuffer
 {
   public:
     explicit TraceBuffer(std::size_t capacity)
-        : slots(capacity ? capacity : 1)
+        : cap(capacity ? capacity : 1)
     {
     }
 
@@ -43,7 +48,10 @@ class TraceBuffer
     void
     push(const Event &e)
     {
-        slots[static_cast<std::size_t>(writes % slots.size())] = e;
+        if (slots.size() < cap)
+            slots.push_back(e);
+        else
+            slots[static_cast<std::size_t>(writes % cap)] = e;
         ++writes;
     }
 
@@ -51,21 +59,25 @@ class TraceBuffer
     std::uint64_t written() const { return writes; }
 
     /** Events lost to wrap-around (written - retained). */
-    std::uint64_t
-    dropped() const
-    {
-        return writes > slots.size() ? writes - slots.size() : 0;
-    }
+    std::uint64_t dropped() const { return writes - slots.size(); }
 
     /** Events currently retained. */
-    std::size_t
-    size() const
-    {
-        return writes < slots.size() ? static_cast<std::size_t>(writes)
-                                     : slots.size();
-    }
+    std::size_t size() const { return slots.size(); }
 
-    std::size_t capacity() const { return slots.size(); }
+    std::size_t capacity() const { return cap; }
+
+    /** Append the retained events to @p out, oldest first. */
+    void
+    appendTo(std::vector<Event> &out) const
+    {
+        // The next slot to overwrite holds the oldest event; before
+        // the first wrap it is slots.size(), so the first range is
+        // empty.
+        auto head = slots.begin() +
+                    static_cast<std::ptrdiff_t>(writes % cap);
+        out.insert(out.end(), head, slots.end());
+        out.insert(out.end(), slots.begin(), head);
+    }
 
     /** Retained events, oldest first. */
     std::vector<Event>
@@ -73,15 +85,13 @@ class TraceBuffer
     {
         std::vector<Event> out;
         out.reserve(size());
-        std::uint64_t first = dropped();
-        for (std::uint64_t i = first; i < writes; ++i)
-            out.push_back(
-                slots[static_cast<std::size_t>(i % slots.size())]);
+        appendTo(out);
         return out;
     }
 
   private:
-    std::vector<Event> slots;
+    std::size_t cap;
+    std::vector<Event> slots; //!< retained events, at most cap
     std::uint64_t writes = 0;
 };
 
@@ -142,20 +152,30 @@ class TraceSink
         return perThread;
     }
 
-    /** All retained events merged into emission (seq) order. */
+    /**
+     * All retained events merged into emission (seq) order. Each
+     * buffer is already in seq order, so the buffers are merged one
+     * by one rather than sorted.
+     */
     std::vector<Event>
     merged() const
     {
-        std::vector<Event> out;
+        std::size_t n = 0;
         for (const auto &[tid, buf] : perThread) {
             (void)tid;
-            std::vector<Event> es = buf.events();
-            out.insert(out.end(), es.begin(), es.end());
+            n += buf.size();
         }
-        std::sort(out.begin(), out.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.seq < b.seq;
-                  });
+        std::vector<Event> out;
+        out.reserve(n);
+        for (const auto &[tid, buf] : perThread) {
+            (void)tid;
+            auto mid = static_cast<std::ptrdiff_t>(out.size());
+            buf.appendTo(out);
+            std::inplace_merge(out.begin(), out.begin() + mid, out.end(),
+                               [](const Event &a, const Event &b) {
+                                   return a.seq < b.seq;
+                               });
+        }
         return out;
     }
 

@@ -170,12 +170,21 @@ TEST(CheckHarness, GenerationIsDeterministic)
 
 TEST(CheckHarness, EverySchemeHasAConfig)
 {
+    // Tool and perfbench cell order depends on this order.
+    const std::vector<std::string> protectedSchemes = {
+        "mm", "tm", "tt", "ttnc", "basic"};
+    EXPECT_EQ(check::allSchemes(), protectedSchemes);
     for (const std::string &name : check::allSchemes()) {
         core::RuntimeConfig cfg =
             check::schemeConfig(name, 5 * cyclesPerUs);
+        EXPECT_EQ(core::schemeTag(cfg), name);
         EXPECT_EQ(cfg.ewTarget, 5 * cyclesPerUs) << name;
     }
+    EXPECT_EQ(check::schemeConfig("tt", 1).tewTarget,
+              target::defaultTew);
     EXPECT_THROW(check::schemeConfig("bogus", 1),
+                 std::invalid_argument);
+    EXPECT_THROW(check::schemeConfig("unprotected", 1),
                  std::invalid_argument);
 }
 

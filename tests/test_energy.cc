@@ -240,6 +240,61 @@ TEST(Harvest, Deterministic)
     EXPECT_EQ(a.sweepsSkipped, b.sweepsSkipped);
 }
 
+/**
+ * The trace is the audit's alone: with the audit off the world has no
+ * sink, and nothing else in a harvest — commits, interrupts, cycles,
+ * exposure, blame — moves.
+ */
+TEST(Harvest, AuditOffRunsUntracedAndChangesNothingElse)
+{
+    for (const char *wl : {"bank", "txmix"}) {
+        for (const std::string &scheme : check::allSchemes()) {
+            SCOPED_TRACE(std::string(wl) + "/" + scheme);
+            energy::HarvestOptions opt;
+            opt.scheme = scheme;
+            opt.workload = wl;
+            opt.powerCycles = 60;
+            opt.cap.capacityUnits = 700;
+            opt.auditEvery = 25;
+            energy::HarvestResult traced = energy::runHarvest(opt);
+            check::RecoveryRun tracedWorld(
+                check::findRecoveryWorkload(wl),
+                energy::harvestConfig(opt), 0);
+            EXPECT_NE(tracedWorld.w.rt->traceSink(), nullptr);
+
+            opt.auditEvery = 0;
+            energy::HarvestResult plain = energy::runHarvest(opt);
+            check::RecoveryRun plainWorld(
+                check::findRecoveryWorkload(wl),
+                energy::harvestConfig(opt), 0);
+            EXPECT_EQ(plainWorld.w.rt->traceSink(), nullptr);
+
+            EXPECT_EQ(plain.powerCycles, traced.powerCycles);
+            EXPECT_EQ(plain.committed, traced.committed);
+            EXPECT_EQ(plain.interrupted, traced.interrupted);
+            EXPECT_EQ(plain.aborted, traced.aborted);
+            EXPECT_EQ(plain.checkpoints, traced.checkpoints);
+            EXPECT_EQ(plain.sweepsRun, traced.sweepsRun);
+            EXPECT_EQ(plain.sweepsSkipped, traced.sweepsSkipped);
+            EXPECT_EQ(plain.recoveredLogs, traced.recoveredLogs);
+            EXPECT_EQ(plain.simCycles, traced.simCycles);
+            EXPECT_EQ(plain.offCycles, traced.offCycles);
+            const semantics::ExposureMetrics &p = plain.exposure,
+                                             &t = traced.exposure;
+            EXPECT_EQ(p.ewAvgUs, t.ewAvgUs);
+            EXPECT_EQ(p.ewMaxUs, t.ewMaxUs);
+            EXPECT_EQ(p.er, t.er);
+            EXPECT_EQ(p.tewAvgUs, t.tewAvgUs);
+            EXPECT_EQ(p.tewMaxUs, t.tewMaxUs);
+            EXPECT_EQ(p.ter, t.ter);
+            EXPECT_EQ(p.ewCount, t.ewCount);
+            EXPECT_EQ(p.tewCount, t.tewCount);
+            for (unsigned c = 0; c < semantics::numBlameCauses; ++c)
+                EXPECT_EQ(plain.blame[c], traced.blame[c]) << c;
+        }
+    }
+}
+
 TEST(Harvest, CheckpointWatermarkFires)
 {
     energy::HarvestOptions opt;

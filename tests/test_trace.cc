@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the src/trace subsystem: ring-buffer wrap/drop
- * semantics, the no-op guarantee when tracing is disabled, the event
+ * semantics (against a fixed-slot reference ring), the per-thread
+ * merge, the no-op guarantee when tracing is disabled, the event
  * taxonomy emitted by the runtime, sweeper-path event ordering, event
  * ordering under the multi-threaded SPEC surrogate, and the timeline
  * auditor's differential check against EwTracker across every scheme
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/runtime.hh"
 #include "pm/pmo_manager.hh"
@@ -113,6 +115,101 @@ TEST(TraceBuffer, WrapOverwritesOldestAndCountsDrops)
     // The newest four survive, oldest first.
     for (std::uint64_t i = 0; i < 4; ++i)
         EXPECT_EQ(es[i].seq, 7 + i);
+}
+
+namespace {
+
+/**
+ * The ring as it was before it grew on demand: every slot allocated
+ * up front, each push stored at written % capacity. The reference
+ * model for the on-demand ring's observable state.
+ */
+struct FixedRing
+{
+    std::vector<Event> slots;
+    std::uint64_t writes = 0;
+
+    explicit FixedRing(std::size_t capacity) : slots(capacity) {}
+
+    void
+    push(const Event &e)
+    {
+        slots[writes % slots.size()] = e;
+        ++writes;
+    }
+
+    std::uint64_t
+    dropped() const
+    {
+        return writes > slots.size() ? writes - slots.size() : 0;
+    }
+
+    std::vector<Event>
+    events() const
+    {
+        std::vector<Event> out;
+        for (std::uint64_t i = dropped(); i < writes; ++i)
+            out.push_back(slots[i % slots.size()]);
+        return out;
+    }
+};
+
+} // namespace
+
+TEST(TraceBuffer, OnDemandRingMatchesFixedRing)
+{
+    for (unsigned pushes : {0u, 3u, 7u}) {
+        trace::TraceBuffer b(3);
+        FixedRing ref(3);
+        for (unsigned i = 0; i < pushes; ++i) {
+            Event e;
+            e.seq = 100 + i;
+            e.ts = 10 * i;
+            e.arg = i;
+            b.push(e);
+            ref.push(e);
+        }
+        EXPECT_EQ(b.capacity(), 3u) << pushes;
+        EXPECT_EQ(b.written(), ref.writes) << pushes;
+        EXPECT_EQ(b.dropped(), ref.dropped()) << pushes;
+        EXPECT_EQ(b.size(), ref.writes - ref.dropped()) << pushes;
+        std::vector<Event> got = b.events(), want = ref.events();
+        ASSERT_EQ(got.size(), want.size()) << pushes;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].seq, want[i].seq) << pushes << " @" << i;
+            EXPECT_EQ(got[i].ts, want[i].ts) << pushes << " @" << i;
+            EXPECT_EQ(got[i].arg, want[i].arg) << pushes << " @" << i;
+        }
+    }
+}
+
+TEST(TraceSink, MergeOfInterleavedThreadsEqualsSortBySeq)
+{
+    // Thread 1 emits most and wraps its 4-slot ring; threads 0 and 2
+    // interleave with it and keep everything.
+    trace::TraceSink s(4);
+    const std::uint32_t order[] = {1, 0, 1, 1, 2, 1, 0, 1, 2, 1, 1, 0};
+    for (std::size_t i = 0; i < std::size(order); ++i)
+        s.emit(order[i], EventKind::RegionBegin, 5 * i, order[i], i);
+    ASSERT_GT(s.buffers().at(1).dropped(), 0u);
+    ASSERT_EQ(s.buffers().at(0).dropped(), 0u);
+
+    std::vector<Event> want;
+    for (const auto &[tid, buf] : s.buffers()) {
+        (void)tid;
+        std::vector<Event> es = buf.events();
+        want.insert(want.end(), es.begin(), es.end());
+    }
+    std::sort(want.begin(), want.end(),
+              [](const Event &a, const Event &b) { return a.seq < b.seq; });
+
+    std::vector<Event> got = s.merged();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].seq, want[i].seq) << i;
+        EXPECT_EQ(got[i].tid, want[i].tid) << i;
+        EXPECT_EQ(got[i].arg, want[i].arg) << i;
+    }
 }
 
 TEST(TraceSink, MergesAcrossThreadsInEmissionOrder)

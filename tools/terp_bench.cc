@@ -26,7 +26,8 @@
  *   --repeat=N         run the suite N times and report best-of-N
  *                      wall clock (one JSON record);
  *                      simulated work must be identical across
- *                      passes — a mismatch is reported as drift
+ *                      passes — a mismatch is reported as drift;
+ *                      the exported metrics are the first pass's
  *   --out=FILE         JSON output path (default BENCH_terp.json)
  *   --golden=FILE      fail (exit 1) if per-figure sims or simulated
  *                      cycles differ from FILE
@@ -35,7 +36,8 @@
  *                      in Prometheus text format
  *
  * The JSON summary ends with a "metrics" section: the process-wide
- * registry every run merged into (bench::globalMetrics()), giving
+ * registry every run of the first pass merged into
+ * (bench::globalMetrics()), giving
  * the suite's security-posture aggregate — exposure-window
  * percentiles, silent-operation fractions, sweeper activity — next
  * to the performance numbers. tools/terp-stats reads it back.
@@ -132,6 +134,10 @@ main(int argc, char **argv)
     double bestPassS = 0;
     std::uint64_t passSims = 0;
     bool repeatDrift = false;
+    // The first pass's metrics: later passes merge the same samples
+    // into bench::globalMetrics() again, which would multiply every
+    // count by the pass count.
+    metrics::Registry passMetrics;
 
     for (unsigned pass = 0; pass < repeat; ++pass) {
         const auto passStart = std::chrono::steady_clock::now();
@@ -196,6 +202,7 @@ main(int argc, char **argv)
         if (pass == 0) {
             bestPassS = passS;
             passSims = passAfter.sims - passBefore.sims;
+            passMetrics.merge(bench::globalMetrics());
         } else if (passS < bestPassS) {
             bestPassS = passS;
         }
@@ -207,10 +214,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "terp-bench: WARNING: simulated work drifted "
                      "across repeat passes; results suspect\n");
-    // Note: the metrics registry accumulates across passes (counters
-    // end up N x a single pass; quantile sketches just see N copies
-    // of the same samples). JSON throughput uses per-pass sims over
-    // best-of-N wall, so repeat does not skew it.
 
     // ---- JSON summary --------------------------------------------
     if (FILE *f = std::fopen(outPath.c_str(), "w")) {
@@ -243,7 +246,7 @@ main(int argc, char **argv)
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f, "  \"metrics\": %s\n",
-                     metrics::toJson(bench::globalMetrics(), "  ")
+                     metrics::toJson(passMetrics, "  ")
                          .c_str());
         std::fprintf(f, "}\n");
         std::fclose(f);
@@ -263,7 +266,7 @@ main(int argc, char **argv)
             return 2;
         }
         std::string prom =
-            metrics::toPrometheus(bench::globalMetrics());
+            metrics::toPrometheus(passMetrics);
         std::fwrite(prom.data(), 1, prom.size(), f);
         std::fclose(f);
         std::fprintf(stderr, "terp-bench: wrote %s\n",
